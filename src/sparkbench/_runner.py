@@ -1,27 +1,24 @@
 """Subprocess entry point for benchmark cells.
 
-Reads one JSON job from stdin ({benchmark, matrix, data_dir, policy}),
-executes the cell in this interpreter, and writes the result payload as
-JSON on stdout. Exit status 0 means the cell ran and passed its
-admission gate; anything else means no usable measurement. Nothing but
-the payload may be printed on stdout.
+Reads one JSON job from stdin ({benchmark, matrix, data_dir, factor_dir,
+policy}), runs the cell in this interpreter, and writes the result
+payload as JSON on stdout: the run times and the digest, which the
+parent gates against its reference. Exit status 0 means the cell ran;
+anything else means no usable measurement. Nothing but the payload may
+be printed on stdout. Only the runner side (``cells``) is imported, so
+the interpreter needs no numpy or scipy.
 """
 
 import json
 import sys
 
-from .harness import TimingPolicy, execute_cell
+from .cells import run_job
 
 
 def main() -> int:
     job = json.load(sys.stdin)
     try:
-        policy = TimingPolicy(
-            warmup_runs=int(job["policy"]["warmup_runs"]),
-            measured_runs=int(job["policy"]["measured_runs"]),
-            aggregator=job["policy"]["aggregator"])
-        payload = execute_cell(job["benchmark"], job["matrix"],
-                               job["data_dir"], policy)
+        payload = run_job(job)
     except Exception as exc:
         json.dump({"ok": False, "benchmark": job.get("benchmark"),
                    "matrix": job.get("matrix"),
@@ -30,7 +27,7 @@ def main() -> int:
         return 1
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
-    return 0 if payload["ok"] else 1
+    return 0
 
 
 if __name__ == "__main__":

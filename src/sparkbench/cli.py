@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import harness, matio
+from .cells import matrix_file
 from .core import SparkBenchError
 from .harness import (
     BENCHMARK_ORDER,
@@ -76,10 +77,9 @@ def cmd_run(args) -> int:
     benchmarks = args.bench or BENCHMARK_ORDER
     matrices = args.matrix or MATRIX_NAMES
 
-    needed = [b for b in benchmarks if harness.BENCHMARKS[b].needs_matrix]
-    if needed:
+    if any(harness.BENCHMARKS[b].needs_matrix for b in benchmarks):
         for name in matrices:
-            harness.load_matrix(args.data_dir, name)
+            matrix_file(args.data_dir, name)
 
     outcomes = harness.run_suite(configs, benchmarks, matrices, _policy(args),
                                  args.data_dir, args.results_dir)

@@ -1,33 +1,38 @@
-"""Benchmark harness: grids, timing, result files and reporting.
+"""Benchmark harness, parent side: references, gate, grids and reports.
 
 Runs benchmark x matrix x configuration grids. Every cell executes in a
 fresh interpreter subprocess (the configuration's interpreter and flag
-set), performs its setup untimed, times only the kernel invocation
-under the given policy, and is admitted only if a checksum of the
-kernel's result matches an independently computed reference. Cell
-results land in ``results/<config>/<benchmark>__<matrix>.time``; the
-aggregator folds the tree into the space-separated ``spark.dat`` with
-one ``id benchmark matrix reftime time`` line per cell, and the
+set) through the runner side in ``cells``: it performs its setup
+untimed, times only the kernel invocation under the given policy and
+returns a checksum of the kernel's result. The parent admits the cell
+only if that checksum matches an independently computed reference.
+Cell results land in ``results/<config>/<benchmark>__<matrix>.time``;
+the aggregator folds the tree into the space-separated ``spark.dat``
+with one ``id benchmark matrix reftime time`` line per cell, and the
 reporter turns that into per-matrix speedup charts plus a CSV.
 
 The reference implementations used for the admission gate live here,
 not in the dense oracle module: they must scale to the full-size
 inputs, so they are built on numpy/scipy instead of brute-force dense
-loops. They share no code with the kernels.
+loops. They share no code with the kernels and never run in a cell's
+interpreter. A grid computes them once per (benchmark, matrix), from
+one load of each matrix, before its first cell; DSOLVE's sparse LU
+factor is computed here as well and handed to its cells as raw arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import shlex
-import statistics
 import subprocess
 import sys
-import time
+import tempfile
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,42 +40,40 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import matio
-from .arr_kernels import _mperm_fill, asm_numeric, asm_symbolic, cmck, trmat
-from .core import (
-    CsrMatrix,
-    ParameterError,
-    SparkBenchError,
-    build_ortho,
-    csr_to_linked,
+from .arr_kernels import cmck, trmat
+from .cells import (
+    ASM_MESH,
+    BENCHMARKS,
+    CORRUPT_ENV,
+    FACTOR_PARTS,
+    RHS_SALT,
+    SPMATMAT_COLS,
+    HarnessError,
+    TimingPolicy,
+    check_cell,
+    factor_path,
+    load_matrix,
+    measure,
+    pcg_params,
+    probe_dense,
+    probe_vector,
+    read_factor,
+    run_job,
+    weighted_checksum,
 )
+from .core import CsrMatrix, ParameterError, csr_to_linked
 from .matio import gen_tri_mesh, read_matrix_market, symmetrize_lower
-from .ptr_kernels import (
-    JacobiParams,
-    PcgParams,
-    dsolve,
-    jacit,
-    pcg,
-    spmatmat,
-    spmatvec,
-)
-
-
-class HarnessError(SparkBenchError):
-    """Configuration, input or result-tree problem in the harness."""
+from .ptr_kernels import JacobiParams, PcgParams, dsolve, jacit, pcg, spmatmat, spmatvec
 
 
 class OracleMismatchError(HarnessError):
     """A kernel result failed its admission checksum; no record emitted."""
 
 
-# Fixed workloads. Timed work must not depend on anything but the input
-# matrix, so these are constants of the harness contract.
-SPMATMAT_COLS = 8
-PCG_TIMED_ITERATIONS = 30
-ASM_MESH = (160, 160)
-
 _GATE_RTOL = 1e-6
-CORRUPT_ENV = "SPARKBENCH_CORRUPT"
+# The directory holding the sparkbench package, put first on a cell's
+# PYTHONPATH so that any interpreter can import the runner.
+_PACKAGE_ROOT = os.fspath(Path(__file__).resolve().parent.parent)
 
 
 @dataclass
@@ -135,57 +138,7 @@ def speedup(record: BenchRecord) -> float:
     return record.reftime / record.time
 
 
-@dataclass
-class TimingPolicy:
-    warmup_runs: int = 3
-    measured_runs: int = 7
-    aggregator: str = "median"
-
-    def __post_init__(self):
-        if self.warmup_runs < 0:
-            raise ParameterError("warmup_runs must be non-negative")
-        if self.measured_runs < 3:
-            raise ParameterError("measured_runs must be at least 3")
-        if self.aggregator not in ("median", "min"):
-            raise ParameterError(f"unknown aggregator {self.aggregator!r}")
-
-    def aggregate(self, runs: list) -> float:
-        if self.aggregator == "median":
-            return statistics.median(runs)
-        return min(runs)
-
-    @classmethod
-    def parse(cls, text: str) -> "TimingPolicy":
-        """Parse the CLI form 'warmups,runs,aggregator'."""
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ParameterError(f"policy {text!r} is not 'warmups,runs,agg'")
-        return cls(int(parts[0]), int(parts[1]), parts[2])
-
-
-# --- deterministic operands and checksums ---------------------------------
-
-def probe_vector(n: int, salt: int = 0) -> list:
-    """Deterministic dense vector with entries in [1, 2)."""
-    return [1.0 + ((i * 31 + salt * 17) % 97) / 97.0 for i in range(n)]
-
-
-def probe_dense(n: int, k: int) -> list:
-    return [[1.0 + ((i + 13 * c) % 53) / 53.0 for c in range(k)]
-            for i in range(n)]
-
-
-def _weight(i: int) -> float:
-    return 0.5 + ((i * 2654435761) & 0xFFFFF) / 2097152.0
-
-
-def weighted_checksum(values) -> float:
-    """Order-sensitive digest: sum of entries under a fixed weight ramp."""
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += _weight(i) * float(v)
-    return acc
-
+# --- checksums and the gate ---------------------------------------------------
 
 def _np_checksum(arr) -> float:
     arr = np.asarray(arr, dtype=np.float64).ravel()
@@ -206,6 +159,21 @@ def _checksums_match(got: dict, want: dict) -> bool:
     return True
 
 
+def _gate(payload: dict, ref: dict) -> dict:
+    """Admit a runner payload only if its checksums match the reference.
+
+    A payload the runner already marked failed is returned unchanged.
+    """
+    if payload.get("ok") is False:
+        return payload
+    ok = _checksums_match(payload["checksums"], ref)
+    payload["ok"] = ok
+    payload["error"] = None if ok else "oracle checksum mismatch: " + json.dumps(
+        {"got": payload["checksums"], "want": ref}, sort_keys=True)
+    payload["ref_checksums"] = ref
+    return payload
+
+
 def _scipy_csr(m: CsrMatrix):
     return sp.csr_matrix(
         (np.asarray(m.values, dtype=np.float64),
@@ -214,109 +182,96 @@ def _scipy_csr(m: CsrMatrix):
         shape=(m.n_rows, m.n_cols))
 
 
-# --- per-benchmark setup / run / digest / reference -----------------------
+# --- references ---------------------------------------------------------------
 
-def _setup_spmatvec(m):
-    return {"linked": csr_to_linked(m), "x": probe_vector(m.n_rows),
-            "scipy": _scipy_csr(m)}
+class _Operands:
+    """One matrix's operands for the references, each built on first use."""
+
+    def __init__(self, m: CsrMatrix):
+        self.m = m
+        self.n = m.n_rows
+
+    @cached_property
+    def csr(self):
+        return _scipy_csr(self.m)
+
+    @cached_property
+    def lu(self):
+        return splu(self.csr.tocsc())
+
+    @cached_property
+    def sym(self):
+        return symmetrize_lower(self.m)
 
 
-def _ref_spmatvec(state):
-    y = state["scipy"] @ np.asarray(state["x"])
+def _ref_spmatvec(op):
+    y = op.csr @ np.asarray(probe_vector(op.n))
     return {"y": _np_checksum(y)}
 
 
-def _setup_spmatmat(m):
-    return {"linked": csr_to_linked(m),
-            "B": probe_dense(m.n_rows, SPMATMAT_COLS),
-            "scipy": _scipy_csr(m)}
-
-
-def _ref_spmatmat(state):
-    y = state["scipy"] @ np.asarray(state["B"])
+def _ref_spmatmat(op):
+    y = op.csr @ np.asarray(probe_dense(op.n, SPMATMAT_COLS))
     return {"y": _np_checksum(y)}
 
 
-def _setup_jacit(m):
-    n = m.n_rows
-    return {"linked": csr_to_linked(m), "b": probe_vector(n, salt=1),
-            "x0": [0.0] * n, "params": JacobiParams(),
-            "scipy": _scipy_csr(m)}
-
-
-def _ref_jacit(state):
-    a = state["scipy"]
+def _ref_jacit(op):
+    a = op.csr
     d = a.diagonal()
     if np.any(d == 0.0):
         raise HarnessError("zero diagonal in jacit input")
-    b = np.asarray(state["b"])
-    x = np.asarray(state["x0"], dtype=np.float64)
-    for _ in range(state["params"].iterations):
+    b = np.asarray(probe_vector(op.n, salt=RHS_SALT["JACIT"]))
+    x = np.zeros(op.n)
+    for _ in range(JacobiParams().iterations):
         x = (b - (a @ x - d * x)) / d
     return {"x": _np_checksum(x)}
 
 
-def _ortho_from_splu(lu_obj):
-    """Merge a sparse LU object's factors into orthogonal storage.
+def _write_factor(lu_obj, factor_dir, matrix: str) -> None:
+    """Write a sparse LU object's merged factors as DSOLVE's input arrays.
 
     The unit diagonal of L is dropped (it is implicit in the solve) and
     U keeps its explicit diagonal. Both factors land in one matrix whose
     row map and column map are the inverses of the factorization's row
     and column permutations, so that the solve's gather phase applies
     the row permutation and the scatter phase undoes the column one.
+    Explicit zeros are dropped except on the diagonal, which every row
+    must keep.
     """
     n = lu_obj.shape[0]
     combined = ((lu_obj.L - sp.identity(n, format="csc")) + lu_obj.U).tocsr()
     combined.sort_indices()
-    indptr, indices, data = combined.indptr, combined.indices, combined.data
-    rows = []
-    for i in range(n):
-        row = []
-        has_diag = False
-        for k in range(indptr[i], indptr[i + 1]):
-            j = int(indices[k])
-            v = float(data[k])
-            if j == i:
-                has_diag = True
-                row.append((j, v))
-            elif v != 0.0:
-                row.append((j, v))
-        if not has_diag:
-            raise HarnessError(f"factor row {i} lost its diagonal")
-        rows.append(row)
+    rows = np.repeat(np.arange(n), np.diff(combined.indptr))
+    diag = combined.indices == rows
+    missing = np.ones(n, dtype=bool)
+    missing[rows[diag]] = False
+    if missing.any():
+        raise HarnessError(f"factor row {int(np.argmax(missing))} lost its diagonal")
+    keep = diag | (combined.data != 0.0)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=row_ptr[1:])
     inv_r = np.empty(n, dtype=np.int64)
     inv_r[lu_obj.perm_r] = np.arange(n)
     inv_c = np.empty(n, dtype=np.int64)
     inv_c[lu_obj.perm_c] = np.arange(n)
-    return build_ortho(n, rows, [int(v) for v in inv_r], [int(v) for v in inv_c])
+    parts = {"row_ptr": row_ptr, "col_ind": combined.indices[keep],
+             "values": combined.data[keep], "row_map": inv_r, "col_map": inv_c}
+    for part, code in FACTOR_PARTS.items():
+        np.asarray(parts[part], dtype=code).tofile(
+            factor_path(factor_dir, matrix, part))
 
 
-def _setup_dsolve(m):
-    a = _scipy_csr(m).tocsc()
-    lu_obj = splu(a)
-    return {"ortho": _ortho_from_splu(lu_obj), "lu_obj": lu_obj,
-            "rhs": probe_vector(m.n_rows, salt=2)}
-
-
-def _ref_dsolve(state):
-    x = state["lu_obj"].solve(np.asarray(state["rhs"]))
+def _ref_dsolve(op):
+    x = op.lu.solve(np.asarray(probe_vector(op.n, salt=RHS_SALT["DSOLVE"])))
     return {"x": _np_checksum(x)}
 
 
-def _setup_pcg(m):
-    return {"linked": csr_to_linked(m), "b": probe_vector(m.n_rows, salt=3),
-            "params": PcgParams(max_iterations=PCG_TIMED_ITERATIONS,
-                                tolerance=1e-300),
-            "scipy": _scipy_csr(m)}
-
-
-def _ref_pcg(state):
-    a = state["scipy"]
+def _ref_pcg(op):
+    a = op.csr
     d = a.diagonal()
     if np.any(d == 0.0):
         raise HarnessError("zero diagonal in pcg input")
-    b = np.asarray(state["b"])
-    params = state["params"]
+    b = np.asarray(probe_vector(op.n, salt=RHS_SALT["PCG"]))
+    params = pcg_params()
     b_norm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     r = b.copy()
@@ -340,27 +295,9 @@ def _ref_pcg(state):
     return {"x": _np_checksum(x), "iterations": float(used)}
 
 
-def _digest_pcg(state, result):
-    x, iterations, _ = result
-    return {"x": weighted_checksum(x), "iterations": float(iterations)}
-
-
-def _setup_asm(_unused):
+def _ref_asm(_unused):
+    """Assemble the mesh's stiffness matrix with scipy's duplicate summing."""
     mesh = gen_tri_mesh(*ASM_MESH)
-    k, slots = asm_symbolic(mesh)
-    return {"mesh": mesh, "row_ptr": k.row_ptr, "col_ind": k.col_ind,
-            "slots": slots, "n": k.n_rows, "zeros": [0.0] * k.nnz}
-
-
-def _run_asm(state):
-    k = CsrMatrix(state["n"], state["n"], state["row_ptr"],
-                  state["col_ind"], state["zeros"].copy())
-    asm_numeric(state["mesh"], k, state["slots"])
-    return k
-
-
-def _ref_asm(state):
-    mesh = state["mesh"]
     nodes = np.asarray(mesh.nodes, dtype=np.float64)
     elems = np.asarray(mesh.elements, dtype=np.int64)
     p1 = nodes[elems[:, 0]]
@@ -375,27 +312,20 @@ def _ref_asm(state):
                    p2[:, 0] - p1[:, 0]], axis=1)
     kloc = (np.einsum("ei,ej->eij", bb, bb) + np.einsum("ei,ej->eij", cc, cc))
     kloc /= (4.0 * area)[:, None, None]
-    values = np.zeros(len(state["col_ind"]))
-    slots = np.asarray(state["slots"], dtype=np.int64)
-    np.add.at(values, slots.ravel(), kloc.reshape(len(elems), 9).ravel())
-    return {"values": _np_checksum(values)}
+    rows = np.repeat(elems, 3, axis=1)
+    cols = np.tile(elems, (1, 3))
+    n = len(mesh.nodes)
+    k = sp.coo_matrix((kloc.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(n, n)).tocsr()
+    k.sort_indices()
+    return {"values": _np_checksum(k.data)}
 
 
-def _setup_trmat(m):
-    return {"m": m, "scipy": _scipy_csr(m)}
-
-
-def _ref_trmat(state):
-    t = state["scipy"].transpose().tocsr()
+def _ref_trmat(op):
+    t = op.csr.transpose().tocsr()
     t.sort_indices()
     return {"row_ptr": _np_checksum(t.indptr), "col_ind": _np_checksum(t.indices),
             "values": _np_checksum(t.data)}
-
-
-def _digest_trmat(state, result):
-    return {"row_ptr": weighted_checksum(result.row_ptr),
-            "col_ind": weighted_checksum(result.col_ind),
-            "values": weighted_checksum(result.values)}
 
 
 def _reference_cm(n, ia, ja):
@@ -428,176 +358,113 @@ def _reference_cm(n, ia, ja):
     return forward
 
 
-def _setup_cmck(m):
-    return {"sym": symmetrize_lower(m)}
+def _ref_cmck(op):
+    sym = op.sym
+    return {"forward": weighted_checksum(
+        _reference_cm(sym.n_rows, sym.row_ptr, sym.col_ind))}
 
 
-def _run_cmck(state):
-    return cmck(state["sym"], check_pattern=False)
-
-
-def _ref_cmck(state):
-    sym = state["sym"]
-    fwd = _reference_cm(sym.n_rows, sym.row_ptr, sym.col_ind)
-    return {"forward": weighted_checksum(fwd)}
-
-
-def _setup_mperm(m):
-    sym = symmetrize_lower(m)
-    return {"sym": sym, "perm": cmck(sym, check_pattern=False)}
-
-
-def _run_mperm(state):
-    return _mperm_fill(state["sym"], state["perm"])
-
-
-def _digest_mperm(state, result):
-    iao, jao, ao = result
-    n = state["sym"].n_rows
-    js = list(jao)
-    vs = list(ao)
-    for ii in range(n):
-        lo, hi = iao[ii], iao[ii + 1]
-        if hi - lo > 1:
-            seg = sorted(zip(js[lo:hi], vs[lo:hi]))
-            for k, (c, v) in enumerate(seg, start=lo):
-                js[k] = c
-                vs[k] = v
-    return {"row_ptr": weighted_checksum(iao),
-            "col_ind": weighted_checksum(js),
-            "values": weighted_checksum(vs)}
-
-
-def _ref_mperm(state):
-    sym = state["sym"]
-    inv = np.asarray(state["perm"].inverse, dtype=np.int64)
-    a = _scipy_csr(sym)
-    b = a[inv][:, inv].tocsr()
+def _ref_mperm(op):
+    """Permute by the kernel's own ordering, which is MPERM's input."""
+    inv = np.asarray(cmck(op.sym, check_pattern=False).inverse, dtype=np.int64)
+    b = _scipy_csr(op.sym)[inv][:, inv].tocsr()
     b.sort_indices()
     return {"row_ptr": _np_checksum(b.indptr), "col_ind": _np_checksum(b.indices),
             "values": _np_checksum(b.data)}
 
 
-@dataclass(frozen=True)
-class Benchmark:
-    """A runnable kernel entry: setup, timed body, digest and reference."""
-
-    name: str
-    family: str
-    needs_matrix: bool
-    setup: callable
-    run: callable
-    digest: callable
-    reference: callable
-
-
-def _simple_digest(key):
-    def digest(state, result):
-        if key == "flat":
-            return {"y": weighted_checksum(
-                v for row in result for v in row)}
-        return {key: weighted_checksum(result)}
-    return digest
-
-
-BENCHMARKS = {b.name: b for b in [
-    Benchmark("SPMATVEC", "pointer", True, _setup_spmatvec,
-              lambda s: spmatvec(s["linked"], s["x"]),
-              _simple_digest("y"), _ref_spmatvec),
-    Benchmark("SPMATMAT", "pointer", True, _setup_spmatmat,
-              lambda s: spmatmat(s["linked"], s["B"]),
-              _simple_digest("flat"), _ref_spmatmat),
-    Benchmark("JACIT", "pointer", True, _setup_jacit,
-              lambda s: jacit(s["linked"], s["b"], s["x0"], s["params"]),
-              _simple_digest("x"), _ref_jacit),
-    Benchmark("DSOLVE", "pointer", True, _setup_dsolve,
-              lambda s: dsolve(s["ortho"], s["rhs"]),
-              _simple_digest("x"), _ref_dsolve),
-    Benchmark("PCG", "pointer", True, _setup_pcg,
-              lambda s: pcg(s["linked"], s["b"], s["params"]),
-              _digest_pcg, _ref_pcg),
-    Benchmark("ASM", "array", False, _setup_asm, _run_asm,
-              lambda s, r: {"values": weighted_checksum(r.values)}, _ref_asm),
-    Benchmark("TRMAT", "array", True, _setup_trmat,
-              lambda s: trmat(s["m"]),
-              _digest_trmat, _ref_trmat),
-    Benchmark("CMCK", "array", True, _setup_cmck, _run_cmck,
-              lambda s, r: {"forward": weighted_checksum(r.forward)}, _ref_cmck),
-    Benchmark("MPERM", "array", True, _setup_mperm, _run_mperm,
-              _digest_mperm, _ref_mperm),
-]}
+BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref)
+                   for name, ref in [
+                       ("SPMATVEC", _ref_spmatvec), ("SPMATMAT", _ref_spmatmat),
+                       ("JACIT", _ref_jacit), ("DSOLVE", _ref_dsolve),
+                       ("PCG", _ref_pcg), ("ASM", _ref_asm), ("TRMAT", _ref_trmat),
+                       ("CMCK", _ref_cmck), ("MPERM", _ref_mperm)]})
 
 BENCHMARK_ORDER = list(BENCHMARKS)
 POINTER_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "pointer"]
 ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
 
 
-def load_matrix(data_dir, name: str) -> CsrMatrix:
-    path = matio.matrix_path(data_dir, name)
-    if not path.exists():
-        raise HarnessError(
-            f"matrix {name!r} not found at {path}; run the gen command first")
-    m, _meta = read_matrix_market(path)
-    return m
+# --- prepared inputs ------------------------------------------------------------
 
+class Prepared:
+    """The parent's inputs for the cells of one run; a context manager.
+
+    ``refs`` maps (benchmark, matrix) to its reference checksums, or to
+    the exception preparing them raised; that cell then fails with it.
+    ``factor_dir`` holds the factor arrays that DSOLVE cells read. It is
+    a temporary directory, removed when the ``with`` block exits, so
+    nothing outlives the run.
+    """
+
+    def __init__(self, data_dir):
+        self.data_dir = data_dir
+        self._tmp = tempfile.TemporaryDirectory(prefix="sparkbench-")
+        self.factor_dir = Path(self._tmp.name)
+        self.refs = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._tmp.cleanup()
+
+    def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
+        """References of ``benchmarks`` on one loaded matrix (None for ASM)."""
+        op = None if m is None else _Operands(m)
+        for name in benchmarks:
+            bench = BENCHMARKS[name]
+            try:
+                self.refs[(name, matrix)] = bench.reference(op)
+                if bench.factored:
+                    _write_factor(op.lu, self.factor_dir, matrix)
+            except Exception as exc:
+                self.refs[(name, matrix)] = exc
+
+    def reference(self, benchmark: str, matrix: str) -> dict:
+        ref = self.refs[(benchmark, matrix)]
+        if isinstance(ref, Exception):
+            raise ref
+        return ref
+
+    def job(self, benchmark: str, matrix: str, policy: TimingPolicy) -> dict:
+        """The runner's job for one cell."""
+        return {"benchmark": benchmark, "matrix": matrix,
+                "data_dir": os.fspath(self.data_dir),
+                "factor_dir": os.fspath(self.factor_dir),
+                "policy": dataclasses.asdict(policy)}
+
+
+def prepare(benchmarks: list, matrices: list, data_dir) -> Prepared:
+    """Prepared inputs for every cell of a grid; each matrix is read once."""
+    prep = Prepared(data_dir)
+    no_matrix = [b for b in benchmarks if not BENCHMARKS[b].needs_matrix]
+    if no_matrix:
+        prep.add_matrix(no_matrix, "none", None)
+    by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
+    for mat in matrices if by_matrix else []:
+        try:
+            m = load_matrix(data_dir, mat)
+        except Exception as exc:
+            prep.refs.update({(b, mat): exc for b in by_matrix})
+            continue
+        prep.add_matrix(by_matrix, mat, m)
+    return prep
+
+
+# --- cells ----------------------------------------------------------------------
 
 def execute_cell(benchmark: str, matrix: str, data_dir, policy: TimingPolicy) -> dict:
-    """Set up, time and gate one (benchmark, matrix) cell, in-process.
+    """Run and gate one (benchmark, matrix) cell in this process.
 
-    Setup and reference computation are untimed; only the kernel call
-    sits between clock reads. The digest of the final run must match the
-    independent reference or the cell is rejected (ok=False, no usable
-    seconds). A test hook (CORRUPT_ENV naming the benchmark) falsifies
-    the digest to exercise exactly that rejection path.
+    The same runner-side job and parent-side gate as a subprocess cell,
+    without the spawn. A rejected cell has ok=False and no usable
+    seconds.
     """
-    if benchmark not in BENCHMARKS:
-        raise HarnessError(f"unknown benchmark {benchmark!r}")
-    bench = BENCHMARKS[benchmark]
-    if bench.needs_matrix:
-        if matrix == "none":
-            raise HarnessError(f"{benchmark} requires a matrix input")
-        m = load_matrix(data_dir, matrix)
-    else:
-        if matrix != "none":
-            raise HarnessError(f"{benchmark} takes no matrix; use 'none'")
-        m = None
-
-    state = bench.setup(m)
-    ref = bench.reference(state)
-
-    for _ in range(policy.warmup_runs):
-        bench.run(state)
-    runs = []
-    result = None
-    for _ in range(policy.measured_runs):
-        t0 = time.perf_counter_ns()
-        result = bench.run(state)
-        t1 = time.perf_counter_ns()
-        runs.append((t1 - t0) / 1e9)
-
-    got = bench.digest(state, result)
-    if os.environ.get(CORRUPT_ENV) == benchmark:
-        got = {k: v + 1.0 for k, v in got.items()}
-
-    seconds = policy.aggregate(runs)
-    med, mn = statistics.median(runs), min(runs)
-    dispersion_ok = not (policy.measured_runs >= 5 and mn > 0 and med / mn > 1.5)
-    ok = _checksums_match(got, ref)
-    return {
-        "benchmark": benchmark,
-        "matrix": matrix,
-        "ok": ok,
-        "error": None if ok else "oracle checksum mismatch: "
-                 + json.dumps({"got": got, "want": ref}, sort_keys=True),
-        "seconds": seconds,
-        "runs": runs,
-        "aggregator": policy.aggregator,
-        "warmup_runs": policy.warmup_runs,
-        "measured_runs": policy.measured_runs,
-        "dispersion_ok": dispersion_ok,
-        "checksums": got,
-        "ref_checksums": ref,
-    }
+    check_cell(benchmark, matrix)
+    with prepare([benchmark], [matrix], data_dir) as prep:
+        ref = prep.reference(benchmark, matrix)
+        return _gate(run_job(prep.job(benchmark, matrix, policy)), ref)
 
 
 def _runner_command(config: BenchConfig) -> list:
@@ -605,20 +472,32 @@ def _runner_command(config: BenchConfig) -> list:
     return [interp, *shlex.split(config.build_flags), "-m", "sparkbench._runner"]
 
 
+def _runner_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
                         policy: TimingPolicy, data_dir) -> dict:
-    """Execute one cell in the configuration's interpreter; returns payload."""
-    job = {
-        "benchmark": benchmark,
-        "matrix": matrix,
-        "data_dir": os.fspath(data_dir),
-        "policy": {"warmup_runs": policy.warmup_runs,
-                   "measured_runs": policy.measured_runs,
-                   "aggregator": policy.aggregator},
-    }
+    """Run one cell in the configuration's interpreter; returns the gated payload.
+
+    ``data_dir`` is the matrix directory, or the ``Prepared`` inputs of
+    the grid the cell belongs to, whose references are then reused.
+    """
+    if not isinstance(data_dir, Prepared):
+        check_cell(benchmark, matrix)
+        with prepare([benchmark], [matrix], data_dir) as prep:
+            return _spawn_cell(benchmark, matrix, config, policy, prep)
+    return _spawn_cell(benchmark, matrix, config, policy, data_dir)
+
+
+def _spawn_cell(benchmark, matrix, config, policy, prep) -> dict:
+    ref = prep.reference(benchmark, matrix)
     proc = subprocess.run(
-        _runner_command(config), input=json.dumps(job),
-        capture_output=True, text=True)
+        _runner_command(config), input=json.dumps(prep.job(benchmark, matrix, policy)),
+        capture_output=True, text=True, env=_runner_env())
     if proc.returncode != 0 and not proc.stdout.strip():
         raise HarnessError(
             f"runner failed for {benchmark}/{matrix} under {config.id}: "
@@ -630,7 +509,7 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
             f"runner produced no result for {benchmark}/{matrix} under "
             f"{config.id}: {proc.stderr.strip()[-500:]}") from None
     payload["config"] = config.id
-    return payload
+    return _gate(payload, ref)
 
 
 def run_benchmark(benchmark: str, matrix: str, config: BenchConfig,
@@ -648,7 +527,17 @@ def time_file_path(results_root, config_id: str, benchmark: str,
     return Path(results_root) / config_id / f"{benchmark}__{matrix}.time"
 
 
+_TIME_KEYS = ("benchmark", "matrix", "config", "seconds", "aggregator",
+              "warmup_runs", "measured_runs", "dispersion_ok", "runs",
+              "checksum", "ref_checksum")
+
+
 def write_time_file(path, payload: dict) -> None:
+    """Write a cell's .time file whole or not at all.
+
+    The text goes to a temporary file beside it that is then renamed
+    into place, so a crash never leaves a truncated .time file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -666,18 +555,27 @@ def write_time_file(path, payload: dict) -> None:
         "ref_checksum " + " ".join(
             f"{k}={payload['ref_checksums'][k]!r}" for k in sorted(payload["ref_checksums"])),
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    os.replace(tmp, path)
 
 
 def parse_time_file(path) -> dict:
+    """Read a .time file; any missing line or a cut last line is malformed."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise HarnessError(f"malformed time file {path}") from None
     out = {}
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for line in text.splitlines():
         key, _, rest = line.partition(" ")
         out[key] = rest
+    if not text.endswith("\n") or any(k not in out for k in _TIME_KEYS):
+        raise HarnessError(f"malformed time file {path}")
     try:
         out["seconds"] = float(out["seconds"])
         out["runs"] = [float(t) for t in out["runs"].split()]
-    except (KeyError, ValueError):
+    except ValueError:
         raise HarnessError(f"malformed time file {path}") from None
     return out
 
@@ -686,9 +584,10 @@ def run_suite(configs: list, benchmarks: list, matrices: list,
               policy: TimingPolicy, data_dir, results_root) -> list:
     """Run the whole grid, config-major, writing the results tree.
 
-    Cells failing setup or the admission gate produce a .err file
-    instead of a .time file and the suite continues. Returns a list of
-    (config id, benchmark, matrix, status string) tuples in run order.
+    The references are prepared once, before the first cell. Cells
+    failing setup or the admission gate produce a .err file instead of
+    a .time file and the suite continues. Returns a list of (config id,
+    benchmark, matrix, status string) tuples in run order.
     """
     results_root = Path(results_root)
     ids = [c.id for c in configs]
@@ -703,33 +602,36 @@ def run_suite(configs: list, benchmarks: list, matrices: list,
             raise HarnessError(f"unknown benchmark {name!r}")
 
     outcomes = []
-    for config in configs:
-        (results_root / config.id).mkdir(parents=True, exist_ok=True)
-        for name in benchmarks:
-            bench = BENCHMARKS[name]
-            cell_inputs = matrices if bench.needs_matrix else ["none"]
-            for mat in cell_inputs:
-                tpath = time_file_path(results_root, config.id, name, mat)
-                epath = tpath.with_suffix(".err")
-                try:
-                    payload = run_cell_subprocess(name, mat, config, policy,
-                                                  data_dir)
-                    if not payload.get("ok"):
-                        raise OracleMismatchError(
-                            payload.get("error") or "cell rejected")
-                    write_time_file(tpath, payload)
-                    if epath.exists():
-                        epath.unlink()
-                    status = "ok"
-                except Exception as exc:
-                    epath.parent.mkdir(parents=True, exist_ok=True)
-                    epath.write_text(f"{type(exc).__name__}: {exc}\n",
-                                     encoding="utf-8")
-                    if tpath.exists():
-                        tpath.unlink()
-                    status = f"failed: {type(exc).__name__}"
-                outcomes.append((config.id, name, mat, status))
+    with prepare(benchmarks, matrices, data_dir) as prep:
+        for config in configs:
+            (results_root / config.id).mkdir(parents=True, exist_ok=True)
+            for name in benchmarks:
+                cell_inputs = matrices if BENCHMARKS[name].needs_matrix else ["none"]
+                for mat in cell_inputs:
+                    outcomes.append((config.id, name, mat, _record_cell(
+                        results_root, name, mat, config, policy, prep)))
     return outcomes
+
+
+def _record_cell(results_root, name, mat, config, policy, prep) -> str:
+    """Run one grid cell and write its .time or .err file; returns its status."""
+    tpath = time_file_path(results_root, config.id, name, mat)
+    epath = tpath.with_suffix(".err")
+    try:
+        payload = run_cell_subprocess(name, mat, config, policy, prep)
+        if not payload.get("ok"):
+            raise OracleMismatchError(payload.get("error") or "cell rejected")
+        write_time_file(tpath, payload)
+        if epath.exists():
+            epath.unlink()
+        return "ok"
+    except Exception as exc:
+        epath.parent.mkdir(parents=True, exist_ok=True)
+        epath.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
+        if tpath.exists():
+            tpath.unlink()
+        return f"failed: {type(exc).__name__}"
+
 
 
 def aggregate(results_root, out_path=None) -> tuple:
@@ -739,19 +641,24 @@ def aggregate(results_root, out_path=None) -> tuple:
     single spaces, %.6f seconds, sorted by (id, benchmark, matrix), LF
     line endings. reftime is the base configuration's seconds for the
     same (benchmark, matrix); cells without a base measurement are
-    skipped with a warning. Returns (path written, warnings).
+    skipped with a warning, and so is a malformed .time file. Returns
+    (path written, warnings).
     """
     results_root = Path(results_root)
     if not (results_root / "base").is_dir():
         raise HarnessError(f"no base results under {results_root}")
     cells = {}
+    warnings = []
     for cfg_dir in sorted(p for p in results_root.iterdir() if p.is_dir()):
         for tf in sorted(cfg_dir.glob("*.time")):
-            d = parse_time_file(tf)
+            try:
+                d = parse_time_file(tf)
+            except HarnessError as exc:
+                warnings.append(f"{exc}; skipping it")
+                continue
             cells[(cfg_dir.name, d["benchmark"], d["matrix"])] = d["seconds"]
     base_times = {(b, m): s for (i, b, m), s in cells.items() if i == "base"}
     lines = []
-    warnings = []
     for key in sorted(cells):
         cid, bench, mat = key
         ref = base_times.get((bench, mat))
@@ -1108,8 +1015,10 @@ def verify_matrix(data_dir, name: str) -> tuple:
     """Gate every matrix-driven kernel once on a full-size input.
 
     Uses the harness admission checksums (the oracle module's dense
-    routines do not scale this far). Returns (label, ok, detail) where
-    ok is None when the matrix file has not been generated.
+    routines do not scale this far), through the same runner-side
+    ``measure`` and parent-side gate as a grid cell, on one read of the
+    matrix. Returns (label, ok, detail) where ok is None when the matrix
+    file has not been generated.
     """
     path = matio.matrix_path(data_dir, name)
     label = f"scale:{name}"
@@ -1120,22 +1029,23 @@ def verify_matrix(data_dir, name: str) -> tuple:
     if name in matio.TABLE1_EXPECTED:
         rep = matio.validate_characteristics(meta, matio.TABLE1_EXPECTED[name])
         problems.extend(rep.failures)
+    benches = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix]
     gated = 0
-    for bname in BENCHMARK_ORDER:
-        bench = BENCHMARKS[bname]
-        if not bench.needs_matrix:
-            continue
-        try:
-            state = bench.setup(m)
-            ref = bench.reference(state)
-            got = bench.digest(state, bench.run(state))
-        except Exception as exc:
-            problems.append(f"{bname}: {type(exc).__name__}: {exc}")
-            continue
-        if _checksums_match(got, ref):
-            gated += 1
-        else:
-            problems.append(f"{bname}: checksum mismatch")
+    with Prepared(data_dir) as prep:
+        prep.add_matrix(benches, name, m)
+        for bname in benches:
+            try:
+                ref = prep.reference(bname, name)
+                cell_input = (read_factor(prep.factor_dir, name)
+                              if BENCHMARKS[bname].factored else m)
+                _runs, got = measure(bname, cell_input, 0, 1)
+            except Exception as exc:
+                problems.append(f"{bname}: {type(exc).__name__}: {exc}")
+                continue
+            if _gate({"checksums": got}, ref)["ok"]:
+                gated += 1
+            else:
+                problems.append(f"{bname}: checksum mismatch")
     if problems:
         return label, False, "; ".join(problems)
     return label, True, f"{gated} kernel gates"

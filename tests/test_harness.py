@@ -17,15 +17,16 @@ from sparkbench.harness import (
     OracleMismatchError,
     TimingPolicy,
     _checksums_match,
-    _ortho_from_splu,
     _reference_cm,
     _scipy_csr,
+    _write_factor,
     aggregate,
     execute_cell,
     parse_config_file,
     parse_spark_dat,
     parse_time_file,
     probe_vector,
+    read_factor,
     report,
     run_benchmark,
     run_suite,
@@ -191,15 +192,45 @@ def test_run_benchmark_subprocess_rejects_corrupt(tiny_data, monkeypatch):
 
 # --- dsolve setup at harness scale --------------------------------------------
 
-def test_splu_merge_solves(tiny_data):
+def test_splu_merge_solves(tmp_path):
     from scipy.sparse.linalg import splu
     m = gen_spd(60, seed=31)
     lu_obj = splu(_scipy_csr(m).tocsc())
-    ortho = _ortho_from_splu(lu_obj)
+    _write_factor(lu_obj, tmp_path, "m")
+    ortho = BENCHMARKS["DSOLVE"].setup(read_factor(tmp_path, "m"))["ortho"]
     rhs = probe_vector(60)
     x = dsolve(ortho, rhs)
     want = lu_obj.solve(np.asarray(rhs))
     assert max(abs(a - b) for a, b in zip(x, want)) < 1e-9
+
+
+def test_factor_keeps_diagonals_and_drops_zeros(tmp_path):
+    from types import SimpleNamespace
+
+    import scipy.sparse as sp
+    # U stores an explicit zero at (0, 1); the merged factor drops it
+    upper = sp.csc_matrix(([2.0, 0.0, 1.0, 3.0, 4.0],
+                           ([0, 0, 0, 1, 2], [0, 1, 2, 1, 2])), shape=(3, 3))
+    lower = sp.csc_matrix(np.array([[1.0, 0.0, 0.0],
+                                    [0.5, 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]]))
+    perm = np.array([2, 0, 1])
+    lu_obj = SimpleNamespace(shape=(3, 3), L=lower, U=upper, perm_r=perm,
+                             perm_c=np.arange(3))
+    _write_factor(lu_obj, tmp_path, "f")
+    f = read_factor(tmp_path, "f")
+    assert list(f["row_ptr"]) == [0, 2, 4, 5]
+    assert list(f["col_ind"]) == [0, 2, 0, 1, 2]
+    assert list(f["values"]) == [2.0, 1.0, 0.5, 3.0, 4.0]
+    assert list(f["row_map"]) == [1, 2, 0]
+    assert list(f["col_map"]) == [0, 1, 2]
+
+    singular = sp.csc_matrix(np.array([[2.0, 0.0, 1.0],
+                                       [0.0, 0.0, 0.0],
+                                       [0.0, 0.0, 4.0]]))
+    lu_obj.U = singular
+    with pytest.raises(HarnessError, match="factor row 1 lost its diagonal"):
+        _write_factor(lu_obj, tmp_path, "g")
 
 
 def test_reference_cm_agrees_with_kernel():
@@ -285,6 +316,30 @@ def test_aggregate_skips_cells_without_base(tmp_path):
     out, warnings = aggregate(root)
     assert len(warnings) == 1 and "CMCK" in warnings[0]
     assert "CMCK" not in out.read_text()
+
+
+def test_time_file_write_leaves_no_temporary(tmp_path):
+    path = time_file_path(tmp_path, "base", "SPMATVEC", "add32")
+    write_time_file(path, make_payload("base", "SPMATVEC", "add32", 0.5))
+    write_time_file(path, make_payload("base", "SPMATVEC", "add32", 0.25))
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert parse_time_file(path)["seconds"] == 0.25
+
+
+def test_aggregate_skips_truncated_time_file(tmp_path):
+    root = tmp_path / "results"
+    golden_tree(root)
+    cut = time_file_path(root, "fast", "TRMAT", "add32")
+    text = cut.read_text()
+    for size in (0, text.index("seconds"), text.index("ref_checksum"),
+                 len(text) - 3):
+        cut.write_text(text[:size])
+        with pytest.raises(HarnessError):
+            parse_time_file(cut)
+        out, warnings = aggregate(root)
+        assert len(warnings) == 1 and str(cut) in warnings[0]
+        assert out.read_text() == GOLDEN.replace(
+            "fast TRMAT add32 0.125000 0.100000\n", "")
 
 
 def test_aggregate_requires_base_dir(tmp_path):
