@@ -6,14 +6,22 @@ Python 3.10+ interpreter can run a cell without numpy or scipy. The
 references a digest is gated against are computed by the parent
 (``harness``), which fills in each registry entry's ``reference``.
 
-A cell's input is the matrix parsed from its Matrix Market file, or
-nothing for ASM. DSOLVE instead reads the LU factor the parent wrote
-as raw arrays, so it never parses the matrix: ``FACTOR_PARTS`` names
-those arrays and their ``array`` typecodes.
+A cell parses no Matrix Market text. Its input is a set of raw arrays
+the parent wrote into an input directory from the one parse it made
+for the references (``INPUT_PARTS`` names the arrays of each kind and
+their ``array`` typecodes): the matrix's CSR arrays, handed to setup as
+a ``CsrMatrix`` of plain lists, or for DSOLVE the LU factor of the
+matrix, or nothing for ASM. A job names that directory, never the
+matrix directory.
+
+Setup runs with the cyclic garbage collector paused, and the heap it
+built is frozen while the kernel runs, so a collection during a timed
+run never rescans the cell's storage.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import time
@@ -30,7 +38,7 @@ from .core import (
     build_ortho,
     csr_to_linked,
 )
-from .matio import gen_tri_mesh, read_matrix_market, symmetrize_lower
+from .matio import gen_tri_mesh, symmetrize_lower
 from .ptr_kernels import (
     JacobiParams,
     PcgParams,
@@ -57,10 +65,15 @@ RHS_SALT = {"JACIT": 1, "DSOLVE": 2, "PCG": 3}
 
 CORRUPT_ENV = "SPARKBENCH_CORRUPT"
 
-# The merged LU factor of a DSOLVE input: CSR arrays of the combined
-# factor plus the row and column maps, native-endian int64 / float64.
-FACTOR_PARTS = {"row_ptr": "q", "col_ind": "q", "values": "d",
-                "row_map": "q", "col_map": "q"}
+# The arrays of a cell's input, native-endian int64 / float64: a matrix
+# ("csr") is its shape (rows, columns) and CSR arrays; DSOLVE's input
+# ("lu") is the merged LU factor of its matrix, the CSR arrays of the
+# combined factor plus the row and column maps.
+INPUT_PARTS = {
+    "csr": {"shape": "q", "row_ptr": "q", "col_ind": "q", "values": "d"},
+    "lu": {"row_ptr": "q", "col_ind": "q", "values": "d",
+           "row_map": "q", "col_map": "q"},
+}
 
 
 @dataclass
@@ -259,6 +272,8 @@ BENCHMARKS = {b.name: b for b in [
     Benchmark("MPERM", "array", True, _setup_mperm, _run_mperm, _digest_mperm),
 ]}
 
+BENCHMARK_ORDER = list(BENCHMARKS)
+
 
 # --- cell inputs ---------------------------------------------------------------
 
@@ -281,34 +296,37 @@ def matrix_file(data_dir, name: str) -> Path:
     return path
 
 
-def load_matrix(data_dir, name: str) -> CsrMatrix:
-    m, _meta = read_matrix_market(matrix_file(data_dir, name))
-    return m
+def input_path(input_dir, matrix: str, kind: str, part: str) -> Path:
+    return Path(input_dir) / f"{matrix}.{kind}.{part}"
 
 
-def factor_path(factor_dir, matrix: str, part: str) -> Path:
-    return Path(factor_dir) / f"{matrix}.{part}"
-
-
-def read_factor(factor_dir, matrix: str) -> dict:
-    """The factor arrays the parent wrote for ``matrix``."""
+def read_input(input_dir, matrix: str, kind: str) -> dict:
+    """The ``INPUT_PARTS[kind]`` arrays the parent wrote for ``matrix``."""
     out = {}
-    for part, code in FACTOR_PARTS.items():
+    for part, code in INPUT_PARTS[kind].items():
         arr = array(code)
-        arr.frombytes(factor_path(factor_dir, matrix, part).read_bytes())
+        arr.frombytes(input_path(input_dir, matrix, kind, part).read_bytes())
         out[part] = arr
     return out
 
 
-def load_input(benchmark: str, matrix: str, data_dir, factor_dir):
+def read_csr(input_dir, matrix: str) -> CsrMatrix:
+    """The matrix the parent wrote, as plain lists of ints and floats."""
+    a = read_input(input_dir, matrix, "csr")
+    n_rows, n_cols = a["shape"]
+    return CsrMatrix(n_rows, n_cols, a["row_ptr"].tolist(),
+                     a["col_ind"].tolist(), a["values"].tolist())
+
+
+def load_input(benchmark: str, matrix: str, input_dir):
     """What the benchmark's setup takes: None, the matrix, or its factor."""
     check_cell(benchmark, matrix)
     bench = BENCHMARKS[benchmark]
     if not bench.needs_matrix:
         return None
     if bench.factored:
-        return read_factor(factor_dir, matrix)
-    return load_matrix(data_dir, matrix)
+        return read_input(input_dir, matrix, "lu")
+    return read_csr(input_dir, matrix)
 
 
 # --- measurement -----------------------------------------------------------------
@@ -318,22 +336,39 @@ def measure(benchmark: str, cell_input, warmup_runs: int,
     """Set up, run and digest one cell; returns (run seconds, checksums).
 
     Setup and digest are untimed; only the kernel call sits between
-    clock reads. A test hook (CORRUPT_ENV naming the benchmark)
-    falsifies the digest so the parent's gate has a wrong answer to
-    reject.
+    clock reads. Setup runs with the cyclic collector paused, since
+    building a storage heap of a million nodes would otherwise cross
+    generation thresholds that rescan it. The heap is then frozen, not
+    collected, so the timed runs collect what they allocate without
+    scanning it. The caller's collector state is restored and nothing
+    stays frozen when this returns or raises. A test hook
+    (CORRUPT_ENV naming the benchmark) falsifies the digest so the
+    parent's gate has a wrong answer to reject.
     """
     bench = BENCHMARKS[benchmark]
-    state = bench.setup(cell_input)
-    for _ in range(warmup_runs):
-        bench.run(state)
-    runs = []
-    result = None
-    for _ in range(measured_runs):
-        t0 = time.perf_counter_ns()
-        result = bench.run(state)
-        t1 = time.perf_counter_ns()
-        runs.append((t1 - t0) / 1e9)
-    got = bench.digest(state, result)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = bench.setup(cell_input)
+        # Frozen before the collector is back on: freezing resets the
+        # young generation's count, so no collection scans the new heap.
+        gc.freeze()
+        if enabled:
+            gc.enable()
+        for _ in range(warmup_runs):
+            bench.run(state)
+        runs = []
+        result = None
+        for _ in range(measured_runs):
+            t0 = time.perf_counter_ns()
+            result = bench.run(state)
+            t1 = time.perf_counter_ns()
+            runs.append((t1 - t0) / 1e9)
+        got = bench.digest(state, result)
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
     if os.environ.get(CORRUPT_ENV) == benchmark:
         got = {k: v + 1.0 for k, v in got.items()}
     return runs, got
@@ -342,12 +377,12 @@ def measure(benchmark: str, cell_input, warmup_runs: int,
 def run_job(job: dict) -> dict:
     """Run the cell a job describes; the payload is not yet gated.
 
-    A job is {benchmark, matrix, data_dir, factor_dir, policy}, the
-    policy as a dict of ``TimingPolicy`` fields.
+    A job is {benchmark, matrix, input_dir, policy}: ``input_dir``
+    holds the arrays the parent wrote (see ``INPUT_PARTS``), and the
+    policy is a dict of ``TimingPolicy`` fields.
     """
     policy = TimingPolicy(**job["policy"])
-    cell_input = load_input(job["benchmark"], job["matrix"], job["data_dir"],
-                            job["factor_dir"])
+    cell_input = load_input(job["benchmark"], job["matrix"], job["input_dir"])
     runs, got = measure(job["benchmark"], cell_input, policy.warmup_runs,
                         policy.measured_runs)
     med, mn = statistics.median(runs), min(runs)

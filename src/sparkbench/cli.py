@@ -4,21 +4,18 @@ Thin argument-parsing shell over the library: every subcommand parses
 flags, calls one library entry point and formats its result. Exit codes:
 0 on success, 1 when validation or verification fails, 2 on usage
 errors (argparse's own convention).
+
+The parent-side ``harness`` (numpy and scipy) is imported only by the
+commands that need it, so ``gen`` and ``inspect`` start without them.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from . import harness, matio
-from .cells import matrix_file
+from . import matio
+from .cells import BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, matrix_file
 from .core import SparkBenchError
-from .harness import (
-    BENCHMARK_ORDER,
-    DEFAULT_CONFIGS,
-    TimingPolicy,
-    parse_config_file,
-)
 from .matio import MATRIX_NAMES, TABLE1_EXPECTED, read_matrix_market
 
 
@@ -63,10 +60,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import harness
     if args.config_file:
-        configs = parse_config_file(args.config_file)
+        configs = harness.parse_config_file(args.config_file)
     else:
-        configs = list(DEFAULT_CONFIGS)
+        configs = list(harness.DEFAULT_CONFIGS)
     if args.config:
         by_id = {c.id: c for c in configs}
         missing = [cid for cid in args.config if cid not in by_id]
@@ -77,7 +75,7 @@ def cmd_run(args) -> int:
     benchmarks = args.bench or BENCHMARK_ORDER
     matrices = args.matrix or MATRIX_NAMES
 
-    if any(harness.BENCHMARKS[b].needs_matrix for b in benchmarks):
+    if any(BENCHMARKS[b].needs_matrix for b in benchmarks):
         for name in matrices:
             matrix_file(args.data_dir, name)
 
@@ -93,6 +91,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    from . import harness
     path, warnings = harness.aggregate(args.results_dir, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -101,6 +100,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import harness
     csv_path, svg_paths, notices = harness.report(args.spark_dat, args.out_dir)
     for n in notices:
         print(f"notice: {n}", file=sys.stderr)
@@ -111,6 +111,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
     results = harness.verify_fixtures(seed=args.seed, count=args.fixtures)
     for name in MATRIX_NAMES:
         results.append(harness.verify_matrix(args.data_dir, name))

@@ -16,8 +16,9 @@ not in the dense oracle module: they must scale to the full-size
 inputs, so they are built on numpy/scipy instead of brute-force dense
 loops. They share no code with the kernels and never run in a cell's
 interpreter. A grid computes them once per (benchmark, matrix), from
-one load of each matrix, before its first cell; DSOLVE's sparse LU
-factor is computed here as well and handed to its cells as raw arrays.
+one load of each matrix, before its first cell. That load is the only
+parse of the matrix: its CSR arrays, and DSOLVE's sparse LU factor
+computed here as well, are handed to the cells as raw arrays.
 """
 
 from __future__ import annotations
@@ -43,21 +44,22 @@ from . import matio
 from .arr_kernels import cmck, trmat
 from .cells import (
     ASM_MESH,
+    BENCHMARK_ORDER,
     BENCHMARKS,
     CORRUPT_ENV,
-    FACTOR_PARTS,
+    INPUT_PARTS,
     RHS_SALT,
     SPMATMAT_COLS,
     HarnessError,
     TimingPolicy,
     check_cell,
-    factor_path,
-    load_matrix,
+    input_path,
+    load_input,
+    matrix_file,
     measure,
     pcg_params,
     probe_dense,
     probe_vector,
-    read_factor,
     run_job,
     weighted_checksum,
 )
@@ -226,7 +228,20 @@ def _ref_jacit(op):
     return {"x": _np_checksum(x)}
 
 
-def _write_factor(lu_obj, factor_dir, matrix: str) -> None:
+def _write_input(input_dir, matrix: str, kind: str, parts: dict) -> None:
+    """Write the ``INPUT_PARTS[kind]`` arrays a cell reads for ``matrix``."""
+    for part, code in INPUT_PARTS[kind].items():
+        np.asarray(parts[part], dtype=code).tofile(
+            input_path(input_dir, matrix, kind, part))
+
+
+def _write_matrix(m: CsrMatrix, input_dir, matrix: str) -> None:
+    _write_input(input_dir, matrix, "csr", {
+        "shape": [m.n_rows, m.n_cols], "row_ptr": m.row_ptr,
+        "col_ind": m.col_ind, "values": m.values})
+
+
+def _write_factor(lu_obj, input_dir, matrix: str) -> None:
     """Write a sparse LU object's merged factors as DSOLVE's input arrays.
 
     The unit diagonal of L is dropped (it is implicit in the solve) and
@@ -253,11 +268,9 @@ def _write_factor(lu_obj, factor_dir, matrix: str) -> None:
     inv_r[lu_obj.perm_r] = np.arange(n)
     inv_c = np.empty(n, dtype=np.int64)
     inv_c[lu_obj.perm_c] = np.arange(n)
-    parts = {"row_ptr": row_ptr, "col_ind": combined.indices[keep],
-             "values": combined.data[keep], "row_map": inv_r, "col_map": inv_c}
-    for part, code in FACTOR_PARTS.items():
-        np.asarray(parts[part], dtype=code).tofile(
-            factor_path(factor_dir, matrix, part))
+    _write_input(input_dir, matrix, "lu", {
+        "row_ptr": row_ptr, "col_ind": combined.indices[keep],
+        "values": combined.data[keep], "row_map": inv_r, "col_map": inv_c})
 
 
 def _ref_dsolve(op):
@@ -380,7 +393,6 @@ BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref)
                        ("PCG", _ref_pcg), ("ASM", _ref_asm), ("TRMAT", _ref_trmat),
                        ("CMCK", _ref_cmck), ("MPERM", _ref_mperm)]})
 
-BENCHMARK_ORDER = list(BENCHMARKS)
 POINTER_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "pointer"]
 ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
 
@@ -392,15 +404,14 @@ class Prepared:
 
     ``refs`` maps (benchmark, matrix) to its reference checksums, or to
     the exception preparing them raised; that cell then fails with it.
-    ``factor_dir`` holds the factor arrays that DSOLVE cells read. It is
-    a temporary directory, removed when the ``with`` block exits, so
-    nothing outlives the run.
+    ``input_dir`` holds the arrays the cells read: each matrix's CSR
+    arrays and, for DSOLVE, its factor. It is a temporary directory,
+    removed when the ``with`` block exits, so nothing outlives the run.
     """
 
-    def __init__(self, data_dir):
-        self.data_dir = data_dir
+    def __init__(self):
         self._tmp = tempfile.TemporaryDirectory(prefix="sparkbench-")
-        self.factor_dir = Path(self._tmp.name)
+        self.input_dir = Path(self._tmp.name)
         self.refs = {}
 
     def __enter__(self):
@@ -410,14 +421,18 @@ class Prepared:
         self._tmp.cleanup()
 
     def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
-        """References of ``benchmarks`` on one loaded matrix (None for ASM)."""
-        op = None if m is None else _Operands(m)
+        """References of ``benchmarks`` on one loaded matrix (None for ASM),
+        and the matrix's arrays for their cells."""
+        op = None
+        if m is not None:
+            op = _Operands(m)
+            _write_matrix(m, self.input_dir, matrix)
         for name in benchmarks:
             bench = BENCHMARKS[name]
             try:
                 self.refs[(name, matrix)] = bench.reference(op)
                 if bench.factored:
-                    _write_factor(op.lu, self.factor_dir, matrix)
+                    _write_factor(op.lu, self.input_dir, matrix)
             except Exception as exc:
                 self.refs[(name, matrix)] = exc
 
@@ -430,14 +445,18 @@ class Prepared:
     def job(self, benchmark: str, matrix: str, policy: TimingPolicy) -> dict:
         """The runner's job for one cell."""
         return {"benchmark": benchmark, "matrix": matrix,
-                "data_dir": os.fspath(self.data_dir),
-                "factor_dir": os.fspath(self.factor_dir),
+                "input_dir": os.fspath(self.input_dir),
                 "policy": dataclasses.asdict(policy)}
+
+
+def load_matrix(data_dir, name: str) -> CsrMatrix:
+    m, _meta = read_matrix_market(matrix_file(data_dir, name))
+    return m
 
 
 def prepare(benchmarks: list, matrices: list, data_dir) -> Prepared:
     """Prepared inputs for every cell of a grid; each matrix is read once."""
-    prep = Prepared(data_dir)
+    prep = Prepared()
     no_matrix = [b for b in benchmarks if not BENCHMARKS[b].needs_matrix]
     if no_matrix:
         prep.add_matrix(no_matrix, "none", None)
@@ -1031,13 +1050,12 @@ def verify_matrix(data_dir, name: str) -> tuple:
         problems.extend(rep.failures)
     benches = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix]
     gated = 0
-    with Prepared(data_dir) as prep:
+    with Prepared() as prep:
         prep.add_matrix(benches, name, m)
         for bname in benches:
             try:
                 ref = prep.reference(bname, name)
-                cell_input = (read_factor(prep.factor_dir, name)
-                              if BENCHMARKS[bname].factored else m)
+                cell_input = load_input(bname, name, prep.input_dir)
                 _runs, got = measure(bname, cell_input, 0, 1)
             except Exception as exc:
                 problems.append(f"{bname}: {type(exc).__name__}: {exc}")

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from sparkbench.cells import read_input
 from sparkbench.core import CsrMatrix, ParameterError
 from sparkbench.harness import (
     BENCHMARKS,
@@ -26,7 +27,6 @@ from sparkbench.harness import (
     parse_spark_dat,
     parse_time_file,
     probe_vector,
-    read_factor,
     report,
     run_benchmark,
     run_suite,
@@ -197,7 +197,7 @@ def test_splu_merge_solves(tmp_path):
     m = gen_spd(60, seed=31)
     lu_obj = splu(_scipy_csr(m).tocsc())
     _write_factor(lu_obj, tmp_path, "m")
-    ortho = BENCHMARKS["DSOLVE"].setup(read_factor(tmp_path, "m"))["ortho"]
+    ortho = BENCHMARKS["DSOLVE"].setup(read_input(tmp_path, "m", "lu"))["ortho"]
     rhs = probe_vector(60)
     x = dsolve(ortho, rhs)
     want = lu_obj.solve(np.asarray(rhs))
@@ -218,7 +218,7 @@ def test_factor_keeps_diagonals_and_drops_zeros(tmp_path):
     lu_obj = SimpleNamespace(shape=(3, 3), L=lower, U=upper, perm_r=perm,
                              perm_c=np.arange(3))
     _write_factor(lu_obj, tmp_path, "f")
-    f = read_factor(tmp_path, "f")
+    f = read_input(tmp_path, "f", "lu")
     assert list(f["row_ptr"]) == [0, 2, 4, 5]
     assert list(f["col_ind"]) == [0, 2, 0, 1, 2]
     assert list(f["values"]) == [2.0, 1.0, 0.5, 3.0, 4.0]
