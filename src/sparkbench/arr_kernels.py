@@ -19,8 +19,6 @@ the per-element building block of the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     CsrMatrix,
     DenseVector,
@@ -170,22 +168,6 @@ def bandwidth(m: CsrMatrix) -> int:
     return best
 
 
-@dataclass
-class CmckWork:
-    """Working state of the Cuthill-McKee traversal.
-
-    degrees holds per-node degrees (row length minus one for the
-    diagonal, clamped at zero), labeled marks nodes already placed,
-    order is the new-to-old map under construction and head is the
-    lower bound of the BFS window (the upper bound is len(order)).
-    """
-
-    degrees: list
-    labeled: list
-    order: list = field(default_factory=list)
-    head: int = 0
-
-
 def _pattern_is_symmetric(m: CsrMatrix) -> bool:
     pairs = set()
     for i in range(m.n_rows):
@@ -206,6 +188,10 @@ def cmck(m: CsrMatrix, check_pattern: bool = True) -> Permutation:
     sorted by ascending degree, ties again toward the lowest index.
     Returns the relabeling with forward[old] = new. Plain Cuthill-McKee,
     not the reversed variant.
+
+    Degrees are row lengths minus one for the diagonal, clamped at zero.
+    ``order`` is the new-to-old map under construction and doubles as
+    the BFS queue: its window runs from ``head`` to ``len(order)``.
     """
     if not m.is_square:
         raise DimensionError("cmck requires a square matrix")
@@ -213,13 +199,10 @@ def cmck(m: CsrMatrix, check_pattern: bool = True) -> Permutation:
         raise SymmetryError("cmck requires a structurally symmetric pattern")
     n = m.n_rows
     ia, ja = m.row_ptr, m.col_ind
-    work = CmckWork(
-        degrees=[max(0, ia[i + 1] - ia[i] - 1) for i in range(n)],
-        labeled=[False] * n,
-    )
-    deg = work.degrees
-    labeled = work.labeled
-    order = work.order
+    deg = [max(0, ia[i + 1] - ia[i] - 1) for i in range(n)]
+    labeled = [False] * n
+    order = []
+    head = 0
 
     while len(order) < n:
         seed = -1
@@ -228,9 +211,9 @@ def cmck(m: CsrMatrix, check_pattern: bool = True) -> Permutation:
                 seed = v
         labeled[seed] = True
         order.append(seed)
-        while work.head < len(order):
-            v = order[work.head]
-            work.head += 1
+        while head < len(order):
+            v = order[head]
+            head += 1
             nbrs = []
             for k in range(ia[v], ia[v + 1]):
                 u = ja[k]
@@ -275,6 +258,17 @@ def _mperm_fill(m: CsrMatrix, p: Permutation) -> tuple:
     return iao, jao, ao
 
 
+def _sort_rows(iao: list, jao: list, ao: list) -> None:
+    """Sort each row of a fill result by column, in place."""
+    for ii in range(len(iao) - 1):
+        lo, hi = iao[ii], iao[ii + 1]
+        if hi - lo > 1:
+            seg = sorted(zip(jao[lo:hi], ao[lo:hi]))
+            for k, (c, v) in enumerate(seg, start=lo):
+                jao[k] = c
+                ao[k] = v
+
+
 def mperm(m: CsrMatrix, p: Permutation, b: DenseVector) -> tuple:
     """Symmetric permutation of a matrix and its right hand side.
 
@@ -291,13 +285,7 @@ def mperm(m: CsrMatrix, p: Permutation, b: DenseVector) -> tuple:
         raise DimensionError("rhs length does not match matrix")
 
     iao, jao, ao = _mperm_fill(m, p)
-    for ii in range(n):
-        lo, hi = iao[ii], iao[ii + 1]
-        if hi - lo > 1:
-            seg = sorted(zip(jao[lo:hi], ao[lo:hi]))
-            for k, (c, v) in enumerate(seg, start=lo):
-                jao[k] = c
-                ao[k] = v
+    _sort_rows(iao, jao, ao)
 
     b_out = [0.0] * n
     fwd = p.forward

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import matio
-from .arr_kernels import _mperm_fill, asm_numeric, asm_symbolic, cmck, trmat
+from .arr_kernels import _mperm_fill, _sort_rows, asm_numeric, asm_symbolic, cmck, trmat
 from .core import (
     CsrMatrix,
     ParameterError,
@@ -101,7 +101,12 @@ class TimingPolicy:
         parts = text.split(",")
         if len(parts) != 3:
             raise ParameterError(f"policy {text!r} is not 'warmups,runs,agg'")
-        return cls(int(parts[0]), int(parts[1]), parts[2])
+        try:
+            warmups, runs = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParameterError(
+                f"policy {text!r}: warmups and runs must be integers") from None
+        return cls(warmups, runs, parts[2])
 
 
 # --- deterministic operands and checksums ---------------------------------
@@ -208,19 +213,10 @@ def _run_mperm(state):
 
 def _digest_mperm(state, result):
     iao, jao, ao = result
-    n = state["sym"].n_rows
-    js = list(jao)
-    vs = list(ao)
-    for ii in range(n):
-        lo, hi = iao[ii], iao[ii + 1]
-        if hi - lo > 1:
-            seg = sorted(zip(js[lo:hi], vs[lo:hi]))
-            for k, (c, v) in enumerate(seg, start=lo):
-                js[k] = c
-                vs[k] = v
+    _sort_rows(iao, jao, ao)
     return {"row_ptr": weighted_checksum(iao),
-            "col_ind": weighted_checksum(js),
-            "values": weighted_checksum(vs)}
+            "col_ind": weighted_checksum(jao),
+            "values": weighted_checksum(ao)}
 
 
 @dataclass(frozen=True)
@@ -241,26 +237,19 @@ class Benchmark:
     factored: bool = False
 
 
-def _simple_digest(key):
-    def digest(state, result):
-        if key == "flat":
-            return {"y": weighted_checksum(
-                v for row in result for v in row)}
-        return {key: weighted_checksum(result)}
-    return digest
-
-
 BENCHMARKS = {b.name: b for b in [
     Benchmark("SPMATVEC", "pointer", True, _setup_spmatvec,
-              lambda s: spmatvec(s["linked"], s["x"]), _simple_digest("y")),
+              lambda s: spmatvec(s["linked"], s["x"]),
+              lambda s, r: {"y": weighted_checksum(r)}),
     Benchmark("SPMATMAT", "pointer", True, _setup_spmatmat,
-              lambda s: spmatmat(s["linked"], s["B"]), _simple_digest("flat")),
+              lambda s: spmatmat(s["linked"], s["B"]),
+              lambda s, r: {"y": weighted_checksum(v for row in r for v in row)}),
     Benchmark("JACIT", "pointer", True, _setup_jacit,
               lambda s: jacit(s["linked"], s["b"], s["x0"], s["params"]),
-              _simple_digest("x")),
+              lambda s, r: {"x": weighted_checksum(r)}),
     Benchmark("DSOLVE", "pointer", True, _setup_dsolve,
-              lambda s: dsolve(s["ortho"], s["rhs"]), _simple_digest("x"),
-              factored=True),
+              lambda s: dsolve(s["ortho"], s["rhs"]),
+              lambda s, r: {"x": weighted_checksum(r)}, factored=True),
     Benchmark("PCG", "pointer", True, _setup_pcg,
               lambda s: pcg(s["linked"], s["b"], s["params"]), _digest_pcg),
     Benchmark("ASM", "array", False, _setup_asm, _run_asm,

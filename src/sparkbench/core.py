@@ -352,15 +352,6 @@ def ortho_to_csr(m: OrthoLinkedMatrix) -> CsrMatrix:
     return CsrMatrix(m.size, m.size, row_ptr, col_ind, values)
 
 
-def zeros_vector(n: int) -> list:
-    return [0.0] * n
-
-
-def zeros_matrix(n_rows: int, n_cols: int) -> list:
-    """Dense matrix as a per-row indirection table of fresh row lists."""
-    return [[0.0] * n_cols for _ in range(n_rows)]
-
-
 def dense_matrix_dims(m: list) -> tuple:
     """(n_rows, n_cols) of a list-of-rows dense matrix; checks rectangularity."""
     n_rows = len(m)

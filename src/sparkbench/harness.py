@@ -499,20 +499,12 @@ def _runner_env() -> dict:
 
 
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
-                        policy: TimingPolicy, data_dir) -> dict:
+                        policy: TimingPolicy, prep: Prepared) -> dict:
     """Run one cell in the configuration's interpreter; returns the gated payload.
 
-    ``data_dir`` is the matrix directory, or the ``Prepared`` inputs of
-    the grid the cell belongs to, whose references are then reused.
+    ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
+    the cell reads its arrays and is gated against its reference.
     """
-    if not isinstance(data_dir, Prepared):
-        check_cell(benchmark, matrix)
-        with prepare([benchmark], [matrix], data_dir) as prep:
-            return _spawn_cell(benchmark, matrix, config, policy, prep)
-    return _spawn_cell(benchmark, matrix, config, policy, data_dir)
-
-
-def _spawn_cell(benchmark, matrix, config, policy, prep) -> dict:
     ref = prep.reference(benchmark, matrix)
     proc = subprocess.run(
         _runner_command(config), input=json.dumps(prep.job(benchmark, matrix, policy)),
@@ -529,16 +521,6 @@ def _spawn_cell(benchmark, matrix, config, policy, prep) -> dict:
             f"{config.id}: {proc.stderr.strip()[-500:]}") from None
     payload["config"] = config.id
     return _gate(payload, ref)
-
-
-def run_benchmark(benchmark: str, matrix: str, config: BenchConfig,
-                  policy: TimingPolicy, data_dir) -> float:
-    """Run one cell under a configuration and return aggregate seconds."""
-    payload = run_cell_subprocess(benchmark, matrix, config, policy, data_dir)
-    if not payload.get("ok"):
-        raise OracleMismatchError(
-            payload.get("error") or f"cell {benchmark}/{matrix} rejected")
-    return payload["seconds"]
 
 
 def time_file_path(results_root, config_id: str, benchmark: str,
@@ -639,7 +621,10 @@ def _record_cell(results_root, name, mat, config, policy, prep) -> str:
     try:
         payload = run_cell_subprocess(name, mat, config, policy, prep)
         if not payload.get("ok"):
-            raise OracleMismatchError(payload.get("error") or "cell rejected")
+            # Only a payload the gate saw carries ref_checksums; any other
+            # failure happened in the runner, before a gate could run.
+            error = OracleMismatchError if "ref_checksums" in payload else HarnessError
+            raise error(payload.get("error") or "cell rejected")
         write_time_file(tpath, payload)
         if epath.exists():
             epath.unlink()
@@ -650,7 +635,6 @@ def _record_cell(results_root, name, mat, config, policy, prep) -> str:
         if tpath.exists():
             tpath.unlink()
         return f"failed: {type(exc).__name__}"
-
 
 
 def aggregate(results_root, out_path=None) -> tuple:
@@ -868,12 +852,6 @@ def _vec_close(got, want, tol: float) -> bool:
         _close(a, b, tol) for a, b in zip(got, want))
 
 
-def _csr_equal(a: CsrMatrix, b: CsrMatrix) -> bool:
-    return (a.n_rows == b.n_rows and a.n_cols == b.n_cols
-            and a.row_ptr == b.row_ptr and a.col_ind == b.col_ind
-            and a.values == b.values)
-
-
 def _dominant_fixture(rng) -> CsrMatrix:
     """Random banded matrix with a strictly dominant diagonal."""
     n = rng.randint(2, 24)
@@ -901,7 +879,6 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
     False. The output is a pure function of the arguments.
     """
     import random
-    import tempfile
 
     from . import oracles
     from .arr_kernels import asm_assemble, bandwidth, mperm
@@ -924,9 +901,9 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
         dense = oracles.dense_of(m)
 
         lk = csr_to_linked(m)
-        if not _csr_equal(linked_to_csr(lk), m):
+        if linked_to_csr(lk) != m:
             note("conversions", f"fixture {t}: linked round trip differs")
-        if not _csr_equal(ortho_to_csr(csr_to_ortho(m)), m):
+        if ortho_to_csr(csr_to_ortho(m)) != m:
             note("conversions", f"fixture {t}: orthogonal round trip differs")
 
         x = probe_vector(n, salt=t)
@@ -958,9 +935,9 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
             note("dsolve", f"fixture {t}: solution differs from oracle")
 
         tm = trmat(m)
-        if not _csr_equal(tm, oracles.csr_of(oracles.dense_transpose(dense))):
+        if tm != oracles.csr_of(oracles.dense_transpose(dense)):
             note("trmat", f"fixture {t}: transpose differs")
-        if not _csr_equal(trmat(tm), m):
+        if trmat(tm) != m:
             note("trmat", f"fixture {t}: double transpose not identity")
 
         sym = symmetrize_lower(m)
@@ -970,14 +947,14 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
 
         bsym, _bv = mperm(sym, perm, rhs)
         dsym = oracles.dense_permute_sym(oracles.dense_of(sym), perm.forward)
-        if not _csr_equal(bsym, oracles.csr_of(dsym)):
+        if bsym != oracles.csr_of(dsym):
             note("mperm", f"fixture {t}: permuted matrix differs")
 
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "rt.mtx"
             matio.write_matrix_market(p, m)
             back, _meta = read_matrix_market(p)
-            if not _csr_equal(back, m):
+            if back != m:
                 note("matrixmarket", f"fixture {t}: file round trip differs")
 
     results = [(label, not bad[label],

@@ -330,25 +330,3 @@ def dense_assemble(mesh) -> DenseSquare:
                 bj, cj = grads[lj]
                 out.cells[gi * n + gj] += (bi * bj + ci * cj) * area
     return out
-
-
-def condition_estimate(a: DenseSquare) -> float:
-    """Rough infinity-norm condition number, via solves on unit vectors.
-
-    Intended only to reject badly conditioned random fixtures; accuracy
-    beyond an order of magnitude is not needed.
-    """
-    n = a.n
-    if n == 0:
-        return 1.0
-    norm_a = max(sum(abs(a.cells[i * n + j]) for j in range(n))
-                 for i in range(n))
-    inv_rows = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        col = dense_lu_solve(a, e)
-        for i in range(n):
-            inv_rows[i][j] = col[i]
-    norm_inv = max(sum(abs(v) for v in row) for row in inv_rows)
-    return norm_a * norm_inv

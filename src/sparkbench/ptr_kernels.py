@@ -22,7 +22,7 @@ timed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     CsrMatrix,
@@ -42,16 +42,9 @@ from .oracles import dense_lu_factor, dense_of
 
 @dataclass
 class JacobiParams:
-    """Sweep count and optional residual recording for jacit.
-
-    When ``record_residual`` is set, the relative residual after every
-    sweep is appended to ``residuals``. Recording walks the matrix once
-    more per sweep, so it stays off during timed runs.
-    """
+    """Sweep count for jacit."""
 
     iterations: int = 100
-    record_residual: bool = False
-    residuals: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -119,23 +112,6 @@ def spmatmat(left: LinkedRowMatrix, right: DenseMatrix) -> DenseMatrix:
     return out
 
 
-def _relative_residual(a: LinkedRowMatrix, b: DenseVector,
-                       x: DenseVector) -> float:
-    num = 0.0
-    den = 0.0
-    for i in range(a.size):
-        e = a.first_in_row[i]
-        acc = 0.0
-        while e is not None:
-            acc += e.value * x[e.col]
-            e = e.next_in_row
-        num += (b[i] - acc) ** 2
-        den += b[i] * b[i]
-    if den == 0.0:
-        return math.sqrt(num)
-    return math.sqrt(num / den)
-
-
 def jacit(a: LinkedRowMatrix, b: DenseVector, x0: DenseVector,
           p: JacobiParams) -> DenseVector:
     """Jacobi iteration with double buffering.
@@ -170,8 +146,6 @@ def jacit(a: LinkedRowMatrix, b: DenseVector, x0: DenseVector,
                 e = e.next_in_row
             x_new[i] = acc / diag
         x_old, x_new = x_new, x_old
-        if p.record_residual:
-            p.residuals.append(_relative_residual(a, b, x_old))
     return x_old
 
 
@@ -265,7 +239,7 @@ def pcg(a: LinkedRowMatrix, b: DenseVector, p: PcgParams) -> tuple:
     touched only through spmatvec, so every iteration pays one full
     chain traversal; everything else is dense dot products and axpys.
 
-    Returns (x, iterations_used, final_relative_residual) where the
+    Returns (x, iterations_used, relative residual) where the
     final residual is recomputed from scratch with one extra spmatvec,
     not taken from the recurrence.
     """

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparkbench.arr_kernels import (
-    CmckWork,
     asm_assemble,
     asm_numeric,
     asm_symbolic,
@@ -45,6 +46,53 @@ def sym_random(rng, n=None):
             triples[(j, i)] = v
     return CsrMatrix.from_triples(
         n, n, [(i, j, v) for (i, j), v in triples.items()])
+
+
+_VALUES = st.floats(allow_nan=False)
+
+
+@st.composite
+def csr_matrices(draw, square=False):
+    """Up to 30x30 with any pattern, empty rows and columns included."""
+    n_rows = draw(st.integers(0, 30))
+    n_cols = n_rows if square else draw(st.integers(0, 30))
+    cells = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=90))) if n_rows and n_cols else []
+    values = draw(st.lists(_VALUES, min_size=len(cells), max_size=len(cells)))
+    return CsrMatrix.from_triples(
+        n_rows, n_cols, [(i, j, v) for (i, j), v in zip(cells, values)])
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """Up to 30x30 with a symmetric pattern, diagonals optional."""
+    n = draw(st.integers(1, 30))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=45))
+    cells = edges | {(j, i) for i, j in edges}
+    return CsrMatrix.from_triples(n, n, [(i, j, 1.0) for i, j in cells])
+
+
+def _components(m):
+    """Connected components of a symmetric pattern, as sets of nodes."""
+    seen = [False] * m.n_rows
+    out = []
+    for s in range(m.n_rows):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, stack = {s}, [s]
+        while stack:
+            v = stack.pop()
+            for k in range(m.row_ptr[v], m.row_ptr[v + 1]):
+                u = m.col_ind[k]
+                if not seen[u]:
+                    seen[u] = True
+                    comp.add(u)
+                    stack.append(u)
+        out.append(comp)
+    return out
 
 
 # --- element assembly -------------------------------------------------------
@@ -123,19 +171,10 @@ def test_trmat_empty():
     assert t.row_ptr == [0, 0, 0] and t.col_ind == [] and t.values == []
 
 
-def test_trmat_is_involution():
-    rng = random.Random(7)
-    for _ in range(40):
-        n_rows = rng.randint(1, 15)
-        n_cols = rng.randint(1, 15)
-        triples = [(i, j, rng.uniform(-1, 1))
-                   for i in range(n_rows) for j in range(n_cols)
-                   if rng.random() < 0.3]
-        m = CsrMatrix.from_triples(n_rows, n_cols, triples)
-        tt = trmat(trmat(m))
-        assert tt.row_ptr == m.row_ptr
-        assert tt.col_ind == m.col_ind
-        assert tt.values == m.values
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices())
+def test_trmat_is_involution(m):
+    assert trmat(trmat(m)) == m
 
 
 def test_trmat_matches_oracle():
@@ -169,11 +208,6 @@ def test_bandwidth_examples():
     assert bandwidth(m) == 2
     with pytest.raises(DimensionError):
         bandwidth(CsrMatrix(1, 2, [0, 1], [1], [1.0]))
-
-
-def test_cmck_work_fields():
-    w = CmckWork(degrees=[1], labeled=[False], order=[0], head=0)
-    assert w.degrees == [1] and w.head == 0
 
 
 def test_cmck_rejects_asymmetric_pattern():
@@ -234,6 +268,16 @@ def test_cmck_components_stay_contiguous():
     labels_b = sorted([p.forward[3], p.forward[4]])
     assert labels_a[1] - labels_a[0] == 1
     assert labels_b[1] - labels_b[0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=symmetric_patterns())
+def test_cmck_is_a_bijection_keeping_components_contiguous(m):
+    forward = cmck(m).forward
+    assert sorted(forward) == list(range(m.n_rows))
+    for comp in _components(m):
+        labels = [forward[v] for v in comp]
+        assert max(labels) - min(labels) + 1 == len(comp)
 
 
 def test_cmck_reduces_arrow_bandwidth():
@@ -298,6 +342,20 @@ def test_mperm_matches_oracle():
         assert got_m.values == want.values
         for i in range(n):
             assert got_b[p.forward[i]] == b[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mperm_then_inverse_gives_the_input_back(data):
+    m = data.draw(csr_matrices(square=True))
+    n = m.n_rows
+    p = Permutation(data.draw(st.permutations(range(n))))
+    b = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+    pm, pb = mperm(m, p, b)
+    pm.validate()  # rows sorted: the round trip alone restores any row order
+    back_m, back_b = mperm(pm, Permutation(p.inverse, p.forward), pb)
+    assert back_m == m
+    assert back_b == b
 
 
 def test_mperm_identity_is_noop():

@@ -87,8 +87,9 @@ def test_other_interpreter_gates_without_numpy(tiny_data, tmp_path, monkeypatch)
 
 def test_dsolve_digest_is_the_same_in_a_subprocess(tiny_data):
     local = execute_cell("DSOLVE", "tiny", tiny_data, FAST)
-    spawned = run_cell_subprocess("DSOLVE", "tiny", BenchConfig("base"), FAST,
-                                  tiny_data)
+    with harness.prepare(["DSOLVE"], ["tiny"], tiny_data) as prep:
+        spawned = run_cell_subprocess("DSOLVE", "tiny", BenchConfig("base"),
+                                      FAST, prep)
     assert local["ok"] and spawned["ok"]
     assert spawned["checksums"] == local["checksums"]
     assert spawned["ref_checksums"] == local["ref_checksums"]

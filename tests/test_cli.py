@@ -123,6 +123,16 @@ def test_run_rejects_missing_matrix(tiny_tree):
     assert code == 1
 
 
+def test_run_rejects_non_integer_policy(tiny_tree):
+    proc = run_cli(["run", "--bench", "TRMAT", "--matrix", "tiny",
+                    "--data-dir", str(tiny_tree / "data"),
+                    "--results-dir", str(tiny_tree / "results"),
+                    "--policy", "x,3,median"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_with_config_file(tiny_tree):
     cfg = tiny_tree / "grid.cfg"
     cfg.write_text("id base\nid tuned\ncflags -O\n")

@@ -18,8 +18,6 @@ from sparkbench.core import (
     dense_matrix_dims,
     linked_to_csr,
     ortho_to_csr,
-    zeros_matrix,
-    zeros_vector,
 )
 
 
@@ -177,8 +175,6 @@ def test_permutation_rejects_bad_maps():
 
 
 def test_dense_helpers():
-    assert zeros_vector(3) == [0.0, 0.0, 0.0]
-    assert zeros_matrix(2, 3) == [[0.0] * 3, [0.0] * 3]
     assert dense_matrix_dims([[1.0, 2.0], [3.0, 4.0]]) == (2, 2)
     with pytest.raises(DimensionError):
         dense_matrix_dims([[1.0], [1.0, 2.0]])

@@ -15,9 +15,9 @@ from sparkbench.harness import (
     BenchConfig,
     BenchRecord,
     HarnessError,
-    OracleMismatchError,
     TimingPolicy,
     _checksums_match,
+    _record_cell,
     _reference_cm,
     _scipy_csr,
     _write_factor,
@@ -26,9 +26,9 @@ from sparkbench.harness import (
     parse_config_file,
     parse_spark_dat,
     parse_time_file,
+    prepare,
     probe_vector,
     report,
-    run_benchmark,
     run_suite,
     speedup,
     time_file_path,
@@ -102,6 +102,8 @@ def test_policy_validation_and_parse():
         TimingPolicy(aggregator="mean")
     with pytest.raises(ParameterError):
         TimingPolicy.parse("3,7")
+    with pytest.raises(ParameterError):
+        TimingPolicy.parse("x,3,median")
 
 
 def test_policy_aggregates():
@@ -176,18 +178,6 @@ def test_every_benchmark_gates_green(tiny_data):
         mat = "none" if name == "ASM" else "tiny"
         payload = execute_cell(name, mat, tiny_data, FAST)
         assert payload["ok"], (name, payload["error"])
-
-
-def test_run_benchmark_subprocess(tiny_data):
-    seconds = run_benchmark("TRMAT", "tiny", BenchConfig("base"), FAST,
-                            tiny_data)
-    assert seconds > 0.0
-
-
-def test_run_benchmark_subprocess_rejects_corrupt(tiny_data, monkeypatch):
-    monkeypatch.setenv("SPARKBENCH_CORRUPT", "TRMAT")
-    with pytest.raises(OracleMismatchError):
-        run_benchmark("TRMAT", "tiny", BenchConfig("base"), FAST, tiny_data)
 
 
 # --- dsolve setup at harness scale --------------------------------------------
@@ -361,6 +351,24 @@ def test_run_suite_continues_after_failures(tiny_data, tmp_path, monkeypatch):
     assert not time_file_path(root, "base", "CMCK", "tiny").exists()
     assert time_file_path(root, "base", "CMCK", "tiny").with_suffix(
         ".err").exists()
+
+
+def test_only_a_gate_rejection_is_an_oracle_mismatch(tiny_data, tmp_path,
+                                                      monkeypatch):
+    root = tmp_path / "results"
+    err = time_file_path(root, "base", "TRMAT", "tiny").with_suffix(".err")
+    with prepare(["TRMAT"], ["tiny"], tiny_data) as prep:
+        monkeypatch.setenv("SPARKBENCH_CORRUPT", "TRMAT")
+        assert _record_cell(root, "TRMAT", "tiny", BenchConfig("base"), FAST,
+                            prep) == "failed: OracleMismatchError"
+        assert err.read_text().startswith(
+            "OracleMismatchError: oracle checksum mismatch")
+        monkeypatch.delenv("SPARKBENCH_CORRUPT")
+        # the runner fails before any gate can run
+        (prep.input_dir / "tiny.csr.values").unlink()
+        assert _record_cell(root, "TRMAT", "tiny", BenchConfig("base"), FAST,
+                            prep) == "failed: HarnessError"
+    assert err.read_text().startswith("HarnessError: FileNotFoundError: ")
 
 
 def test_run_suite_requires_base(tiny_data, tmp_path):

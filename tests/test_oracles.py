@@ -13,7 +13,6 @@ from sparkbench.core import CsrMatrix, ParameterError, SingularMatrixError
 from sparkbench.matio import gen_tri_mesh
 from sparkbench.oracles import (
     DenseSquare,
-    condition_estimate,
     csr_of,
     dense_assemble,
     dense_direct_solve,
@@ -166,8 +165,3 @@ def test_csr_of_drops_zeros():
     d = DenseSquare.from_rows([[1.0, 0.0], [0.0, 2.0]])
     m = csr_of(d)
     assert list(m.triples()) == [(0, 0, 1.0), (1, 1, 2.0)]
-
-
-def test_condition_estimate_identity():
-    d = DenseSquare.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    assert abs(condition_estimate(d) - 1.0) < 1e-12

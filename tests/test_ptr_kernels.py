@@ -141,11 +141,7 @@ def test_jacit_converges_on_dominant_input():
     m = gen_spd(30, seed=9)
     n = 30
     b = [1.0] * n
-    params = JacobiParams(iterations=200, record_residual=True)
-    x = jacit(csr_to_linked(m), b, [0.0] * n, params)
-    assert len(params.residuals) == 200
-    assert params.residuals[-1] < 1e-8
-    assert params.residuals[-1] < params.residuals[0]
+    x = jacit(csr_to_linked(m), b, [0.0] * n, JacobiParams(iterations=200))
     resid = [g - 1.0 for g in dense_matvec(dense_of(m), x)]
     assert max(abs(r) for r in resid) < 1e-6
 
