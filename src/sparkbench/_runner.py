@@ -6,10 +6,9 @@ JSON on stdout: the run times and the digest, which the parent gates
 against its reference. The cell's input is the raw arrays the parent
 wrote into ``input_dir`` (the matrix's CSR arrays, or DSOLVE's factor);
 the job names no matrix directory and the cell parses no Matrix Market
-file. Exit status 0 means the cell ran; anything else means no usable
-measurement. Nothing but the payload may be printed on stdout. Only the
-runner side (``cells``) is imported, so the interpreter needs no numpy
-or scipy.
+file. A failing cell exits nonzero with its traceback on stderr.
+Nothing but the payload may be printed on stdout. Only the runner side
+(``cells``) is imported, so the interpreter needs no numpy or scipy.
 """
 
 import json
@@ -19,16 +18,7 @@ from .cells import run_job
 
 
 def main() -> int:
-    job = json.load(sys.stdin)
-    try:
-        payload = run_job(job)
-    except Exception as exc:
-        json.dump({"ok": False, "benchmark": job.get("benchmark"),
-                   "matrix": job.get("matrix"),
-                   "error": f"{type(exc).__name__}: {exc}"}, sys.stdout)
-        sys.stdout.write("\n")
-        return 1
-    json.dump(payload, sys.stdout)
+    json.dump(run_job(json.load(sys.stdin)), sys.stdout)
     sys.stdout.write("\n")
     return 0
 

@@ -177,7 +177,7 @@ class LinkedRowMatrix:
         return sum(1 for i in range(self.size) for _ in self.row_elements(i))
 
 
-class OrthoLinkedMatrix:
+class OrthoLinkedMatrix(LinkedRowMatrix):
     """Sparse matrix with orthogonal (row and column) element chains.
 
     Both chain families visit the same element set. ``diag[i]`` links the
@@ -187,29 +187,17 @@ class OrthoLinkedMatrix:
     """
 
     def __init__(self, size: int):
-        if size < 0:
-            raise DimensionError("negative size")
-        self.size = size
-        self.first_in_row: list = [None] * size
+        super().__init__(size)
         self.first_in_col: list = [None] * size
         self.int_to_ext_row_map: list = list(range(size))
         self.int_to_ext_col_map: list = list(range(size))
         self.diag: list = [None] * size
-
-    def row_elements(self, i: int) -> Iterator[SparseElement]:
-        e = self.first_in_row[i]
-        while e is not None:
-            yield e
-            e = e.next_in_row
 
     def col_elements(self, j: int) -> Iterator[SparseElement]:
         e = self.first_in_col[j]
         while e is not None:
             yield e
             e = e.next_in_col
-
-    def nnz(self) -> int:
-        return sum(1 for i in range(self.size) for _ in self.row_elements(i))
 
 
 @dataclass
@@ -266,7 +254,8 @@ def csr_to_linked(m: CsrMatrix) -> LinkedRowMatrix:
 
 
 def linked_to_csr(m: LinkedRowMatrix) -> CsrMatrix:
-    """Exact inverse of :func:`csr_to_linked`."""
+    """Exact inverse of :func:`csr_to_linked`; on orthogonal storage, its
+    row-chain contents as CSR."""
     row_ptr = [0] * (m.size + 1)
     col_ind = []
     values = []
@@ -339,17 +328,7 @@ def csr_to_ortho(m: CsrMatrix) -> OrthoLinkedMatrix:
     return build_ortho(m.n_rows, rows, list(range(m.n_rows)), list(range(m.n_rows)))
 
 
-def ortho_to_csr(m: OrthoLinkedMatrix) -> CsrMatrix:
-    """Extract the row-chain contents of orthogonal storage as CSR."""
-    row_ptr = [0] * (m.size + 1)
-    col_ind = []
-    values = []
-    for i in range(m.size):
-        for e in m.row_elements(i):
-            col_ind.append(e.col)
-            values.append(e.value)
-        row_ptr[i + 1] = len(col_ind)
-    return CsrMatrix(m.size, m.size, row_ptr, col_ind, values)
+ortho_to_csr = linked_to_csr
 
 
 def dense_matrix_dims(m: list) -> tuple:

@@ -162,12 +162,7 @@ def _checksums_match(got: dict, want: dict) -> bool:
 
 
 def _gate(payload: dict, ref: dict) -> dict:
-    """Admit a runner payload only if its checksums match the reference.
-
-    A payload the runner already marked failed is returned unchanged.
-    """
-    if payload.get("ok") is False:
-        return payload
+    """Admit a runner payload only if its checksums match the reference."""
     ok = _checksums_match(payload["checksums"], ref)
     payload["ok"] = ok
     payload["error"] = None if ok else "oracle checksum mismatch: " + json.dumps(
@@ -503,22 +498,22 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
     """Run one cell in the configuration's interpreter; returns the gated payload.
 
     ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
-    the cell reads its arrays and is gated against its reference.
+    the cell reads its arrays and is gated against its reference. A
+    nonzero exit raises ``HarnessError``: its first line names the cell,
+    the exit status and the last line of the runner's stderr, and the
+    stderr tail (at most 500 characters) follows.
     """
     ref = prep.reference(benchmark, matrix)
     proc = subprocess.run(
         _runner_command(config), input=json.dumps(prep.job(benchmark, matrix, policy)),
         capture_output=True, text=True, env=_runner_env())
-    if proc.returncode != 0 and not proc.stdout.strip():
+    if proc.returncode != 0:
+        tail = proc.stderr.strip()[-500:]
+        last = tail.splitlines()[-1] if tail else "no output on stderr"
         raise HarnessError(
-            f"runner failed for {benchmark}/{matrix} under {config.id}: "
-            f"{proc.stderr.strip()[-500:]}")
-    try:
-        payload = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        raise HarnessError(
-            f"runner produced no result for {benchmark}/{matrix} under "
-            f"{config.id}: {proc.stderr.strip()[-500:]}") from None
+            f"runner failed for {benchmark}/{matrix} under {config.id} "
+            f"(exit status {proc.returncode}): {last}\n{tail}")
+    payload = json.loads(proc.stdout)
     payload["config"] = config.id
     return _gate(payload, ref)
 
@@ -530,54 +525,37 @@ def time_file_path(results_root, config_id: str, benchmark: str,
 
 _TIME_KEYS = ("benchmark", "matrix", "config", "seconds", "aggregator",
               "warmup_runs", "measured_runs", "dispersion_ok", "runs",
-              "checksum", "ref_checksum")
+              "checksums", "ref_checksums")
 
 
 def write_time_file(path, payload: dict) -> None:
-    """Write a cell's .time file whole or not at all.
+    """Write a cell's .time file, the ``_TIME_KEYS`` of its gated payload
+    as one JSON object, whole or not at all.
 
     The text goes to a temporary file beside it that is then renamed
     into place, so a crash never leaves a truncated .time file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"benchmark {payload['benchmark']}",
-        f"matrix {payload['matrix']}",
-        f"config {payload['config']}",
-        f"seconds {payload['seconds']:.6f}",
-        f"aggregator {payload['aggregator']}",
-        f"warmup_runs {payload['warmup_runs']}",
-        f"measured_runs {payload['measured_runs']}",
-        f"dispersion_ok {'true' if payload['dispersion_ok'] else 'false'}",
-        "runs " + " ".join(f"{t:.9f}" for t in payload["runs"]),
-        "checksum " + " ".join(
-            f"{k}={payload['checksums'][k]!r}" for k in sorted(payload["checksums"])),
-        "ref_checksum " + " ".join(
-            f"{k}={payload['ref_checksums'][k]!r}" for k in sorted(payload["ref_checksums"])),
-    ]
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    tmp.write_text(json.dumps({k: payload[k] for k in _TIME_KEYS}, sort_keys=True)
+                   + "\n", encoding="ascii", newline="\n")
     os.replace(tmp, path)
 
 
 def parse_time_file(path) -> dict:
-    """Read a .time file; any missing line or a cut last line is malformed."""
+    """Read a .time file; text that is not such a JSON object, a missing
+    key, a cut last line or seconds that are not finite and positive
+    make it malformed."""
     try:
         text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError:
-        raise HarnessError(f"malformed time file {path}") from None
-    out = {}
-    for line in text.splitlines():
-        key, _, rest = line.partition(" ")
-        out[key] = rest
-    if not text.endswith("\n") or any(k not in out for k in _TIME_KEYS):
+        out = json.loads(text)
+        ok = (text.endswith("\n") and all(k in out for k in _TIME_KEYS)
+              and math.isfinite(out["seconds"]) and out["seconds"] > 0)
+    except (ValueError, TypeError):
+        ok = False
+    if not ok:
         raise HarnessError(f"malformed time file {path}")
-    try:
-        out["seconds"] = float(out["seconds"])
-        out["runs"] = [float(t) for t in out["runs"].split()]
-    except ValueError:
-        raise HarnessError(f"malformed time file {path}") from None
     return out
 
 
@@ -620,11 +598,8 @@ def _record_cell(results_root, name, mat, config, policy, prep) -> str:
     epath = tpath.with_suffix(".err")
     try:
         payload = run_cell_subprocess(name, mat, config, policy, prep)
-        if not payload.get("ok"):
-            # Only a payload the gate saw carries ref_checksums; any other
-            # failure happened in the runner, before a gate could run.
-            error = OracleMismatchError if "ref_checksums" in payload else HarnessError
-            raise error(payload.get("error") or "cell rejected")
+        if not payload["ok"]:
+            raise OracleMismatchError(payload["error"])
         write_time_file(tpath, payload)
         if epath.exists():
             epath.unlink()
@@ -1014,13 +989,16 @@ def verify_matrix(data_dir, name: str) -> tuple:
     routines do not scale this far), through the same runner-side
     ``measure`` and parent-side gate as a grid cell, on one read of the
     matrix. Returns (label, ok, detail) where ok is None when the matrix
-    file has not been generated.
+    file has not been generated, and False when it cannot be parsed.
     """
     path = matio.matrix_path(data_dir, name)
     label = f"scale:{name}"
     if not path.exists():
         return label, None, "not generated; skipped"
-    m, meta = read_matrix_market(path)
+    try:
+        m, meta = read_matrix_market(path)
+    except matio.MatrixMarketError as exc:
+        return label, False, f"MatrixMarketError: {exc}"
     problems = []
     if name in matio.TABLE1_EXPECTED:
         rep = matio.validate_characteristics(meta, matio.TABLE1_EXPECTED[name])

@@ -425,13 +425,16 @@ def read_mesh(path) -> TriMesh:
     return mesh
 
 
-def _boost_diagonal(n, off_entries):
-    """Diagonal values making the matrix strictly dominant both ways."""
+def _dominant(n, off) -> CsrMatrix:
+    """The off-diagonal entries ``off`` plus a diagonal making the matrix
+    strictly dominant both ways."""
     absum = [0.0] * n
-    for (i, j), v in off_entries.items():
+    for (i, j), v in off.items():
         absum[i] += abs(v)
         absum[j] += abs(v)
-    return [1.0 + absum[i] for i in range(n)]
+    triples = [(i, j, v) for (i, j), v in off.items()]
+    triples.extend((i, i, 1.0 + absum[i]) for i in range(n))
+    return CsrMatrix.from_triples(n, n, triples)
 
 
 def _standin_scatter(n, target, rng, band=None) -> CsrMatrix:
@@ -448,10 +451,7 @@ def _standin_scatter(n, target, rng, band=None) -> CsrMatrix:
                 continue
         if i != j and (i, j) not in off:
             off[(i, j)] = rng.uniform(-1, 1)
-    diag = _boost_diagonal(n, off)
-    triples = [(i, j, v) for (i, j), v in off.items()]
-    triples.extend((i, i, diag[i]) for i in range(n))
-    return CsrMatrix.from_triples(n, n, triples)
+    return _dominant(n, off)
 
 
 def _standin_sherman3(rng) -> CsrMatrix:
@@ -467,10 +467,7 @@ def _standin_sherman3(rng) -> CsrMatrix:
     for (i, j), (v_up, v_lo) in pairs.items():
         off[(i, j)] = v_up
         off[(j, i)] = v_lo
-    diag = _boost_diagonal(n, off)
-    triples = [(i, j, v) for (i, j), v in off.items()]
-    triples.extend((i, i, diag[i]) for i in range(n))
-    return CsrMatrix.from_triples(n, n, triples)
+    return _dominant(n, off)
 
 
 def _standin_bcsstk13(rng) -> CsrMatrix:
@@ -486,10 +483,7 @@ def _standin_bcsstk13(rng) -> CsrMatrix:
     for (i, j), v in lower.items():
         off[(i, j)] = v
         off[(j, i)] = v
-    diag = _boost_diagonal(n, off)
-    triples = [(i, j, v) for (i, j), v in off.items()]
-    triples.extend((i, i, diag[i]) for i in range(n))
-    return CsrMatrix.from_triples(n, n, triples)
+    return _dominant(n, off)
 
 
 def gen_standin(name: str) -> tuple:

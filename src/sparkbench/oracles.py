@@ -11,7 +11,6 @@ index arithmetic.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .core import (
@@ -19,7 +18,6 @@ from .core import (
     DimensionError,
     GeometryError,
     LinkedRowMatrix,
-    OrthoLinkedMatrix,
     ParameterError,
     SingularMatrixError,
 )
@@ -67,11 +65,6 @@ class DenseSquare:
     def copy(self) -> "DenseSquare":
         return DenseSquare(self.n, self.cells)
 
-    def validate_finite(self) -> None:
-        for v in self.cells:
-            if not math.isfinite(v):
-                raise ParameterError("non-finite entry in dense matrix")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, DenseSquare)
                 and self.n == other.n and self.cells == other.cells)
@@ -94,7 +87,7 @@ def dense_of(m) -> DenseSquare:
         for i, j, v in m.triples():
             out.cells[i * n + j] = v
         return out
-    if isinstance(m, (LinkedRowMatrix, OrthoLinkedMatrix)):
+    if isinstance(m, LinkedRowMatrix):
         n = m.size
         if n > _SIZE_GUARD:
             raise ParameterError(f"refusing to densify n={n} > {_SIZE_GUARD}")

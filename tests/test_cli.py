@@ -173,6 +173,21 @@ def test_verify_skips_missing_matrices(tmp_path, capsys):
     assert out.count("FAIL") == 0
 
 
+def test_verify_continues_past_a_malformed_matrix(tmp_path, capsys):
+    args = ["verify", "--data-dir", str(tmp_path), "--fixtures", "4"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out.splitlines()
+    (tmp_path / "add32.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n1 1 1.0\n2 2 1.0\n")
+    assert main(args) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = clean.index("SKIP scale:add32: not generated; skipped")
+    assert out[i].startswith("FAIL scale:add32: MatrixMarketError: ")
+    assert out[:i] + out[i + 1:-1] == clean[:i] + clean[i + 1:-1]
+    assert out[-1].endswith(" passed, 1 failed, 4 skipped")
+
+
 def test_verify_output_is_deterministic(tmp_path):
     a = run_cli(["verify", "--data-dir", str(tmp_path / "none"),
                  "--fixtures", "4"])

@@ -332,6 +332,18 @@ def test_aggregate_skips_truncated_time_file(tmp_path):
             "fast TRMAT add32 0.125000 0.100000\n", "")
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), 0.0, -1.0])
+def test_aggregate_skips_time_file_without_positive_seconds(tmp_path, seconds):
+    root = tmp_path / "results"
+    golden_tree(root)
+    bad = time_file_path(root, "fast", "TRMAT", "add32")
+    write_time_file(bad, make_payload("fast", "TRMAT", "add32", seconds))
+    out, warnings = aggregate(root)
+    assert len(warnings) == 1 and str(bad) in warnings[0]
+    assert out.read_text() == GOLDEN.replace(
+        "fast TRMAT add32 0.125000 0.100000\n", "")
+
+
 def test_aggregate_requires_base_dir(tmp_path):
     root = tmp_path / "results"
     (root / "fast").mkdir(parents=True)
@@ -368,7 +380,26 @@ def test_only_a_gate_rejection_is_an_oracle_mismatch(tiny_data, tmp_path,
         (prep.input_dir / "tiny.csr.values").unlink()
         assert _record_cell(root, "TRMAT", "tiny", BenchConfig("base"), FAST,
                             prep) == "failed: HarnessError"
-    assert err.read_text().startswith("HarnessError: FileNotFoundError: ")
+    first = err.read_text().splitlines()[0]
+    assert first.startswith("HarnessError: runner failed for TRMAT/tiny under "
+                            "base (exit status 1): FileNotFoundError: ")
+
+
+def test_a_runner_dying_without_output_fails_only_its_cells(tiny_data, tmp_path):
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base"),
+                          BenchConfig("dies", '-c "raise SystemExit(3)"')],
+                         ["TRMAT", "ASM"], ["tiny"], FAST, tiny_data, root)
+    assert [(c, b, s) for c, b, _, s in outcomes] == [
+        ("base", "TRMAT", "ok"), ("base", "ASM", "ok"),
+        ("dies", "TRMAT", "failed: HarnessError"),
+        ("dies", "ASM", "failed: HarnessError")]
+    for name, mat in (("TRMAT", "tiny"), ("ASM", "none")):
+        assert parse_time_file(time_file_path(root, "base", name, mat))["seconds"] > 0
+        err = time_file_path(root, "dies", name, mat).with_suffix(".err")
+        first = err.read_text().splitlines()[0]
+        assert "under dies" in first and "exit status 3" in first
+        assert not time_file_path(root, "dies", name, mat).exists()
 
 
 def test_run_suite_requires_base(tiny_data, tmp_path):
