@@ -138,23 +138,7 @@ def pcg_params() -> PcgParams:
     return PcgParams(max_iterations=PCG_TIMED_ITERATIONS, tolerance=PCG_TOLERANCE)
 
 
-# --- per-benchmark setup / run / digest ------------------------------------
-
-def _setup_spmatvec(m):
-    return {"linked": csr_to_linked(m), "x": probe_vector(m.n_rows)}
-
-
-def _setup_spmatmat(m):
-    return {"linked": csr_to_linked(m),
-            "B": probe_dense(m.n_rows, SPMATMAT_COLS)}
-
-
-def _setup_jacit(m):
-    n = m.n_rows
-    return {"linked": csr_to_linked(m),
-            "b": probe_vector(n, salt=RHS_SALT["JACIT"]),
-            "x0": [0.0] * n, "params": JacobiParams()}
-
+# --- per-benchmark setup and digest -----------------------------------------
 
 def _setup_dsolve(factor):
     row_ptr, col_ind, values = factor["row_ptr"], factor["col_ind"], factor["values"]
@@ -163,68 +147,54 @@ def _setup_dsolve(factor):
     # (col, value) tuple per factor entry held at the same time.
     rows = [zip(col_ind[row_ptr[i]:row_ptr[i + 1]],
                 values[row_ptr[i]:row_ptr[i + 1]]) for i in range(n)]
-    return {"ortho": build_ortho(n, rows, factor["row_map"], factor["col_map"]),
-            "rhs": probe_vector(n, salt=RHS_SALT["DSOLVE"])}
+    return (build_ortho(n, rows, factor["row_map"], factor["col_map"]),
+            probe_vector(n, salt=RHS_SALT["DSOLVE"]))
 
 
-def _setup_pcg(m):
-    return {"linked": csr_to_linked(m),
-            "b": probe_vector(m.n_rows, salt=RHS_SALT["PCG"]),
-            "params": pcg_params()}
-
-
-def _digest_pcg(state, result):
+def _digest_pcg(result):
     x, iterations, _ = result
     return {"x": weighted_checksum(x), "iterations": float(iterations)}
 
 
 def _setup_asm(_unused):
     mesh = gen_tri_mesh(*ASM_MESH)
-    k, slots = asm_symbolic(mesh)
-    return {"mesh": mesh, "row_ptr": k.row_ptr, "col_ind": k.col_ind,
-            "slots": slots, "n": k.n_rows, "zeros": [0.0] * k.nnz}
+    return (mesh, *asm_symbolic(mesh))
 
 
-def _run_asm(state):
-    k = CsrMatrix(state["n"], state["n"], state["row_ptr"],
-                  state["col_ind"], state["zeros"].copy())
-    asm_numeric(state["mesh"], k, state["slots"])
+def _run_asm(mesh, pattern, slots):
+    """ASM's timed body: the numeric phase into a fresh copy of the
+    all-zero pattern ``asm_symbolic`` built."""
+    k = CsrMatrix(pattern.n_rows, pattern.n_cols, pattern.row_ptr,
+                  pattern.col_ind, pattern.values.copy())
+    asm_numeric(mesh, k, slots)
     return k
 
 
-def _digest_trmat(state, result):
-    return {"row_ptr": weighted_checksum(result.row_ptr),
-            "col_ind": weighted_checksum(result.col_ind),
-            "values": weighted_checksum(result.values)}
-
-
-def _run_cmck(state):
-    return cmck(state["sym"], check_pattern=False)
+def _digest_csr(row_ptr, col_ind, values):
+    return {"row_ptr": weighted_checksum(row_ptr),
+            "col_ind": weighted_checksum(col_ind),
+            "values": weighted_checksum(values)}
 
 
 def _setup_mperm(m):
     sym = symmetrize_lower(m)
-    return {"sym": sym, "perm": cmck(sym, check_pattern=False)}
+    return sym, cmck(sym, check_pattern=False)
 
 
-def _run_mperm(state):
-    return _mperm_fill(state["sym"], state["perm"])
-
-
-def _digest_mperm(state, result):
-    iao, jao, ao = result
-    _sort_rows(iao, jao, ao)
-    return {"row_ptr": weighted_checksum(iao),
-            "col_ind": weighted_checksum(jao),
-            "values": weighted_checksum(ao)}
+def _digest_mperm(result):
+    _sort_rows(*result)
+    return _digest_csr(*result)
 
 
 @dataclass(frozen=True)
 class Benchmark:
-    """A runnable kernel entry: setup, timed body, digest and reference.
+    """A runnable kernel entry: setup, kernel, digest and reference.
 
-    ``reference`` is filled in by ``harness``; the runner never calls
-    it. A ``factored`` benchmark's input is the LU factor of its matrix.
+    ``setup`` turns the cell's input into the kernel's positional
+    arguments, ``run`` is the kernel (the one call a timed run makes)
+    and ``digest`` maps its result to named checksums. ``reference`` is
+    filled in by ``harness``; the runner never calls it. A ``factored``
+    benchmark's input is the LU factor of its matrix.
     """
 
     name: str
@@ -238,27 +208,30 @@ class Benchmark:
 
 
 BENCHMARKS = {b.name: b for b in [
-    Benchmark("SPMATVEC", "pointer", True, _setup_spmatvec,
-              lambda s: spmatvec(s["linked"], s["x"]),
-              lambda s, r: {"y": weighted_checksum(r)}),
-    Benchmark("SPMATMAT", "pointer", True, _setup_spmatmat,
-              lambda s: spmatmat(s["linked"], s["B"]),
-              lambda s, r: {"y": weighted_checksum(v for row in r for v in row)}),
-    Benchmark("JACIT", "pointer", True, _setup_jacit,
-              lambda s: jacit(s["linked"], s["b"], s["x0"], s["params"]),
-              lambda s, r: {"x": weighted_checksum(r)}),
-    Benchmark("DSOLVE", "pointer", True, _setup_dsolve,
-              lambda s: dsolve(s["ortho"], s["rhs"]),
-              lambda s, r: {"x": weighted_checksum(r)}, factored=True),
-    Benchmark("PCG", "pointer", True, _setup_pcg,
-              lambda s: pcg(s["linked"], s["b"], s["params"]), _digest_pcg),
+    Benchmark("SPMATVEC", "pointer", True,
+              lambda m: (csr_to_linked(m), probe_vector(m.n_rows)),
+              spmatvec, lambda y: {"y": weighted_checksum(y)}),
+    Benchmark("SPMATMAT", "pointer", True,
+              lambda m: (csr_to_linked(m), probe_dense(m.n_rows, SPMATMAT_COLS)),
+              spmatmat,
+              lambda y: {"y": weighted_checksum(v for row in y for v in row)}),
+    Benchmark("JACIT", "pointer", True,
+              lambda m: (csr_to_linked(m), probe_vector(m.n_rows, RHS_SALT["JACIT"]),
+                         [0.0] * m.n_rows, JacobiParams()),
+              jacit, lambda x: {"x": weighted_checksum(x)}),
+    Benchmark("DSOLVE", "pointer", True, _setup_dsolve, dsolve,
+              lambda x: {"x": weighted_checksum(x)}, factored=True),
+    Benchmark("PCG", "pointer", True,
+              lambda m: (csr_to_linked(m), probe_vector(m.n_rows, RHS_SALT["PCG"]),
+                         pcg_params()),
+              pcg, _digest_pcg),
     Benchmark("ASM", "array", False, _setup_asm, _run_asm,
-              lambda s, r: {"values": weighted_checksum(r.values)}),
-    Benchmark("TRMAT", "array", True, lambda m: {"m": m},
-              lambda s: trmat(s["m"]), _digest_trmat),
-    Benchmark("CMCK", "array", True, lambda m: {"sym": symmetrize_lower(m)},
-              _run_cmck, lambda s, r: {"forward": weighted_checksum(r.forward)}),
-    Benchmark("MPERM", "array", True, _setup_mperm, _run_mperm, _digest_mperm),
+              lambda k: {"values": weighted_checksum(k.values)}),
+    Benchmark("TRMAT", "array", True, lambda m: (m,), trmat,
+              lambda t: _digest_csr(t.row_ptr, t.col_ind, t.values)),
+    Benchmark("CMCK", "array", True, lambda m: (symmetrize_lower(m), False), cmck,
+              lambda p: {"forward": weighted_checksum(p.forward)}),
+    Benchmark("MPERM", "array", True, _setup_mperm, _mperm_fill, _digest_mperm),
 ]}
 
 BENCHMARK_ORDER = list(BENCHMARKS)
@@ -338,22 +311,22 @@ def measure(benchmark: str, cell_input, warmup_runs: int,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        state = bench.setup(cell_input)
+        args = bench.setup(cell_input)
         # Frozen before the collector is back on: freezing resets the
         # young generation's count, so no collection scans the new heap.
         gc.freeze()
         if enabled:
             gc.enable()
         for _ in range(warmup_runs):
-            bench.run(state)
+            bench.run(*args)
         runs = []
         result = None
         for _ in range(measured_runs):
             t0 = time.perf_counter_ns()
-            result = bench.run(state)
+            result = bench.run(*args)
             t1 = time.perf_counter_ns()
             runs.append((t1 - t0) / 1e9)
-        got = bench.digest(state, result)
+        got = bench.digest(result)
     finally:
         gc.unfreeze()
         if enabled:

@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from .cells import (
     ASM_MESH,
     BENCHMARK_ORDER,
     BENCHMARKS,
-    CORRUPT_ENV,
+    CORRUPT_ENV,  # perfbench's tests read it through harness
     INPUT_PARTS,
     RHS_SALT,
     SPMATMAT_COLS,
@@ -73,6 +74,8 @@ class OracleMismatchError(HarnessError):
 
 
 _GATE_RTOL = 1e-6
+# A config id is a path segment and a field of spark.dat, the CSV and the SVGs.
+_CONFIG_ID = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9._+-]*")
 # The directory holding the sparkbench package, put first on a cell's
 # PYTHONPATH so that any interpreter can import the runner.
 _PACKAGE_ROOT = os.fspath(Path(__file__).resolve().parent.parent)
@@ -93,9 +96,10 @@ class BenchConfig:
     compiler_override: str = None
 
     def __post_init__(self):
-        if not self.id or any(ch.isspace() for ch in self.id):
+        if not _CONFIG_ID.fullmatch(self.id):
             raise ParameterError(
-                f"config id {self.id!r} must be nonempty without whitespace")
+                f"config id {self.id!r} must be letters, digits, '.', '_', '-' "
+                "and '+', not starting with '.'")
 
 
 @dataclass
@@ -501,19 +505,23 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
     the cell reads its arrays and is gated against its reference. A
     nonzero exit raises ``HarnessError``: its first line names the cell,
     the exit status and the last line of the runner's stderr, and the
-    stderr tail (at most 500 characters) follows.
+    stderr tail (at most 500 characters) follows. So does a zero exit
+    whose stdout is no JSON object, marked "no payload".
     """
     ref = prep.reference(benchmark, matrix)
     proc = subprocess.run(
         _runner_command(config), input=json.dumps(prep.job(benchmark, matrix, policy)),
         capture_output=True, text=True, env=_runner_env())
-    if proc.returncode != 0:
+    try:
+        payload = json.loads(proc.stdout) if proc.returncode == 0 else None
+    except json.JSONDecodeError:
+        payload = None
+    if not isinstance(payload, dict):
         tail = proc.stderr.strip()[-500:]
         last = tail.splitlines()[-1] if tail else "no output on stderr"
-        raise HarnessError(
-            f"runner failed for {benchmark}/{matrix} under {config.id} "
-            f"(exit status {proc.returncode}): {last}\n{tail}")
-    payload = json.loads(proc.stdout)
+        status = f"exit status {proc.returncode}" if proc.returncode else "no payload"
+        raise HarnessError(f"runner failed for {benchmark}/{matrix} under "
+                           f"{config.id} ({status}): {last}\n{tail}")
     payload["config"] = config.id
     return _gate(payload, ref)
 
@@ -1051,7 +1059,10 @@ def parse_config_file(path) -> list:
         if key == "id":
             if current is not None:
                 configs.append(current)
-            current = BenchConfig(rest)
+            try:
+                current = BenchConfig(rest)
+            except ParameterError as exc:
+                raise HarnessError(f"{path}:{lineno}: {exc}") from None
         elif key == "cflags":
             if current is None:
                 raise HarnessError(f"{path}:{lineno}: cflags before id")

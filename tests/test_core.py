@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import csr_matrices, hex_csr
 from sparkbench.core import (
     CsrMatrix,
     DimensionError,
@@ -144,6 +146,37 @@ def test_ortho_round_trip_many():
         for (i, j), v in got.items():
             if (i, j) not in want:
                 assert i == j and v == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_linked_round_trip_is_the_identity(m):
+    assert hex_csr(linked_to_csr(csr_to_linked(m))) == hex_csr(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_ortho_round_trip_adds_only_missing_zero_diagonals(m):
+    has_diag = {i for i, j, _ in m.triples() if i == j}
+    want = CsrMatrix.from_triples(m.n_rows, m.n_cols, [
+        *m.triples(), *((i, i, 0.0) for i in range(m.n_rows) if i not in has_diag)])
+    assert hex_csr(ortho_to_csr(csr_to_ortho(m))) == hex_csr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_ortho_column_chains_visit_the_row_entries(m):
+    o = csr_to_ortho(m)
+    by_row = [e for i in range(o.size) for e in o.row_elements(i)]
+    by_col = [e for j in range(o.size) for e in o.col_elements(j)]
+    assert len({id(e) for e in by_row}) == len(by_row) == len(by_col)
+    assert {id(e) for e in by_row} == {id(e) for e in by_col}
+    for i in range(o.size):
+        assert all(e.row == i for e in o.row_elements(i))
+        col = list(o.col_elements(i))
+        assert all(e.col == i for e in col)
+        assert all(a.row < b.row for a, b in zip(col, col[1:]))
+        assert o.diag[i] in col and o.diag[i].row == i
 
 
 def test_build_ortho_custom_maps():

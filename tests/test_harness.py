@@ -1,6 +1,7 @@
 """Harness engine: records, timing policy, gates, aggregation, report."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -36,23 +37,9 @@ from sparkbench.harness import (
     weighted_checksum,
     write_time_file,
 )
-from sparkbench.matio import (
-    gen_spd,
-    matrix_path,
-    symmetrize_lower,
-    write_matrix_market,
-)
+from sparkbench.matio import gen_spd, symmetrize_lower
 from sparkbench.arr_kernels import cmck
 from sparkbench.ptr_kernels import dsolve
-
-
-@pytest.fixture()
-def tiny_data(tmp_path):
-    data = tmp_path / "data"
-    data.mkdir()
-    m = gen_spd(40, seed=21)
-    write_matrix_market(matrix_path(data, "tiny"), m, symmetry="symmetric")
-    return data
 
 
 FAST = TimingPolicy(warmup_runs=0, measured_runs=3, aggregator="min")
@@ -116,6 +103,14 @@ def test_config_validation():
     assert BenchConfig("base").build_flags == ""
     with pytest.raises(ParameterError):
         BenchConfig("has space")
+
+
+@pytest.mark.parametrize("bad", ["a/b", "a,b", "a&b", ".hidden", ".."])
+def test_config_id_is_a_safe_name(bad):
+    # an id is a results directory, a CSV field and text in an SVG chart
+    with pytest.raises(ParameterError, match="config id"):
+        BenchConfig(bad)
+    assert BenchConfig("py3.12-c++_O2").id == "py3.12-c++_O2"
 
 
 # --- checksums ---------------------------------------------------------------
@@ -187,7 +182,7 @@ def test_splu_merge_solves(tmp_path):
     m = gen_spd(60, seed=31)
     lu_obj = splu(_scipy_csr(m).tocsc())
     _write_factor(lu_obj, tmp_path, "m")
-    ortho = BENCHMARKS["DSOLVE"].setup(read_input(tmp_path, "m", "lu"))["ortho"]
+    ortho = BENCHMARKS["DSOLVE"].setup(read_input(tmp_path, "m", "lu"))[0]
     rhs = probe_vector(60)
     x = dsolve(ortho, rhs)
     want = lu_obj.solve(np.asarray(rhs))
@@ -402,6 +397,24 @@ def test_a_runner_dying_without_output_fails_only_its_cells(tiny_data, tmp_path)
         assert not time_file_path(root, "dies", name, mat).exists()
 
 
+def test_a_runner_exiting_without_a_payload_fails_only_its_cells(tiny_data,
+                                                                  tmp_path):
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base"), BenchConfig("quiet", "-c pass")],
+                         ["TRMAT", "ASM"], ["tiny"], FAST, tiny_data, root)
+    assert [(c, b, s) for c, b, _, s in outcomes] == [
+        ("base", "TRMAT", "ok"), ("base", "ASM", "ok"),
+        ("quiet", "TRMAT", "failed: HarnessError"),
+        ("quiet", "ASM", "failed: HarnessError")]
+    for name, mat in (("TRMAT", "tiny"), ("ASM", "none")):
+        assert parse_time_file(time_file_path(root, "base", name, mat))["seconds"] > 0
+        err = time_file_path(root, "quiet", name, mat).with_suffix(".err")
+        assert err.read_text().splitlines()[0] == (
+            f"HarnessError: runner failed for {name}/{mat} under quiet "
+            "(no payload): no output on stderr")
+        assert not time_file_path(root, "quiet", name, mat).exists()
+
+
 def test_run_suite_requires_base(tiny_data, tmp_path):
     with pytest.raises(HarnessError):
         run_suite([BenchConfig("other")], ["TRMAT"], ["tiny"], FAST,
@@ -475,6 +488,13 @@ def test_parse_config_file_rejects_stray_keys(tmp_path):
         parse_config_file(p)
     p.write_text("# nothing\n")
     with pytest.raises(HarnessError):
+        parse_config_file(p)
+
+
+def test_parse_config_file_names_the_line_of_a_bad_id(tmp_path):
+    p = tmp_path / "bench.cfg"
+    p.write_text("id base\nid a&b\n")
+    with pytest.raises(HarnessError, match=re.escape(f"{p}:2: config id 'a&b'")):
         parse_config_file(p)
 
 

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import csr_matrices, hex_csr
 from sparkbench.core import CsrMatrix
 from sparkbench.matio import (
     MATRIX_NAMES,
@@ -123,6 +126,39 @@ def test_write_read_round_trip(tmp_path):
         back, meta = read_matrix_market(p)
         assert list(back.triples()) == list(m.triples())
         assert meta.entries == m.nnz
+
+
+def _write_then_read(d, m, symmetry, fortran):
+    p = d / "m.mtx"
+    write_matrix_market(p, m, symmetry=symmetry)
+    if fortran:
+        header, size, *entries = p.read_text().splitlines()
+        p.write_text("\n".join([header, size, *(e.replace("e", "D") for e in entries)])
+                     + "\n")
+    return read_matrix_market(p)
+
+
+_EXPONENTS = CsrMatrix(2, 2, [0, 1, 3], [1, 0, 1], [1e-310, -2.5e300, 5e-324])
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(), fortran=st.booleans())
+@example(m=_EXPONENTS, fortran=True)
+def test_general_write_then_read_gives_the_input_back(m, fortran, tmp_path_factory):
+    back, meta = _write_then_read(tmp_path_factory.mktemp("mm"), m, "general", fortran)
+    assert hex_csr(back) == hex_csr(m)
+    assert meta.entries == m.nnz
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True).map(symmetrize_lower), fortran=st.booleans())
+@example(m=symmetrize_lower(_EXPONENTS), fortran=True)
+def test_symmetric_write_then_read_gives_the_input_back(m, fortran, tmp_path_factory):
+    back, meta = _write_then_read(tmp_path_factory.mktemp("mm"), m, "symmetric",
+                                  fortran)
+    assert hex_csr(back) == hex_csr(m)
+    assert meta.entries == sum(1 for i, j, _ in m.triples() if i >= j)
+    assert meta.symmetry == "symmetric"
 
 
 def test_write_symmetric_keeps_lower_only(tmp_path):
