@@ -233,20 +233,31 @@ class Permutation:
 def csr_to_linked(m: CsrMatrix) -> LinkedRowMatrix:
     """Build row-linked storage from a CSR matrix.
 
-    Nodes are allocated one by one in row-major order, which fixes a
-    deterministic heap layout baseline for the pointer kernels.
+    Nodes are allocated one by one in row-major order, one per entry and
+    nothing else in between, which fixes a deterministic heap layout
+    baseline for the pointer kernels. Each node is made with
+    ``object.__new__`` and its five slots are stored directly, which skips
+    the per-node ``__init__`` call but allocates the same objects.
     """
     if not m.is_square:
         raise DimensionError(f"linked storage requires a square matrix, got "
                              f"{m.n_rows}x{m.n_cols}")
     m.validate()
     out = LinkedRowMatrix(m.n_rows)
+    first_in_row = out.first_in_row
+    row_ptr, col_ind, values = m.row_ptr, m.col_ind, m.values
+    new, node = object.__new__, SparseElement
     for i in range(m.n_rows):
         prev = None
-        for k in range(m.row_ptr[i], m.row_ptr[i + 1]):
-            e = SparseElement(m.values[k], m.col_ind[k])
+        for k in range(row_ptr[i], row_ptr[i + 1]):
+            e = new(node)
+            e.value = values[k]
+            e.col = col_ind[k]
+            e.row = None
+            e.next_in_row = None
+            e.next_in_col = None
             if prev is None:
-                out.first_in_row[i] = e
+                first_in_row[i] = e
             else:
                 prev.next_in_row = e
             prev = e
@@ -271,30 +282,39 @@ def build_ortho(size: int, rows: list, row_map: list, col_map: list) -> OrthoLin
     """Assemble orthogonal storage from per-row (col, value) lists.
 
     ``rows[i]`` must be sorted by column and contain the diagonal entry
-    (i, i). Elements are allocated row-major; column chains are threaded
-    in the same pass, so they come out sorted by row.
+    (i, i). Elements are allocated row-major, one per entry and nothing
+    else in between, as :func:`csr_to_linked` does; column chains are
+    threaded in the same pass, so they come out sorted by row.
     """
     out = OrthoLinkedMatrix(size)
     out.int_to_ext_row_map = list(row_map)
     out.int_to_ext_col_map = list(col_map)
+    first_in_row, first_in_col, diag = out.first_in_row, out.first_in_col, out.diag
     col_tails: list = [None] * size
+    new, node = object.__new__, SparseElement
     for i in range(size):
         prev = None
         for c, v in rows[i]:
-            e = SparseElement(v, c, row=i)
+            e = new(node)
+            e.value = v
+            e.col = c
+            e.row = i
+            e.next_in_row = None
+            e.next_in_col = None
             if prev is None:
-                out.first_in_row[i] = e
+                first_in_row[i] = e
             else:
                 prev.next_in_row = e
             prev = e
-            if col_tails[c] is None:
-                out.first_in_col[c] = e
+            tail = col_tails[c]
+            if tail is None:
+                first_in_col[c] = e
             else:
-                col_tails[c].next_in_col = e
+                tail.next_in_col = e
             col_tails[c] = e
             if c == i:
-                out.diag[i] = e
-        if out.diag[i] is None:
+                diag[i] = e
+        if diag[i] is None:
             raise SingularMatrixError(f"row {i} has no diagonal element")
     return out
 

@@ -74,8 +74,9 @@ class OracleMismatchError(HarnessError):
 
 
 _GATE_RTOL = 1e-6
-# A config id is a path segment and a field of spark.dat, the CSV and the SVGs.
-_CONFIG_ID = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9._+-]*")
+# A config id or matrix name is a path segment and a field of spark.dat,
+# the CSV and the SVGs.
+_SAFE_NAME = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9._+-]*")
 # The directory holding the sparkbench package, put first on a cell's
 # PYTHONPATH so that any interpreter can import the runner.
 _PACKAGE_ROOT = os.fspath(Path(__file__).resolve().parent.parent)
@@ -96,10 +97,14 @@ class BenchConfig:
     compiler_override: str = None
 
     def __post_init__(self):
-        if not _CONFIG_ID.fullmatch(self.id):
-            raise ParameterError(
-                f"config id {self.id!r} must be letters, digits, '.', '_', '-' "
-                "and '+', not starting with '.'")
+        _check_name("config id", self.id)
+
+
+def _check_name(kind: str, name: str) -> None:
+    if not _SAFE_NAME.fullmatch(name):
+        raise ParameterError(
+            f"{kind} {name!r} must be letters, digits, '.', '_', '-' "
+            "and '+', not starting with '.'")
 
 
 @dataclass
@@ -574,12 +579,17 @@ def run_suite(configs: list, benchmarks: list, matrices: list,
     The references are prepared once, before the first cell. Cells
     failing setup or the admission gate produce a .err file instead of
     a .time file and the suite continues. Returns a list of (config id,
-    benchmark, matrix, status string) tuples in run order.
+    benchmark, matrix, status string) tuples in run order. Before it
+    reads anything, it rejects a repeated configuration id, benchmark or
+    matrix, and a matrix name that breaks the config-id rule.
     """
     results_root = Path(results_root)
     ids = [c.id for c in configs]
-    if len(set(ids)) != len(ids):
-        raise HarnessError("duplicate configuration ids")
+    for kind, names in (("configuration id", ids), ("benchmark", benchmarks),
+                        ("matrix", matrices)):
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise HarnessError(f"duplicate {kind} {repeated[0]!r}")
     if "base" not in ids and not (results_root / "base").exists():
         raise HarnessError(
             "reference configuration 'base' is neither in the config list "
@@ -587,6 +597,8 @@ def run_suite(configs: list, benchmarks: list, matrices: list,
     for name in benchmarks:
         if name not in BENCHMARKS:
             raise HarnessError(f"unknown benchmark {name!r}")
+    for name in matrices:
+        _check_name("matrix name", name)
 
     outcomes = []
     with prepare(benchmarks, matrices, data_dir) as prep:

@@ -133,6 +133,48 @@ def test_run_rejects_non_integer_policy(tiny_tree):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--bench", "TRMAT", "TRMAT", "--matrix", "tiny"], "duplicate benchmark 'TRMAT'"),
+    (["--bench", "TRMAT", "--matrix", "tiny", "tiny"], "duplicate matrix 'tiny'"),
+])
+def test_run_rejects_a_repeated_name(tiny_tree, args, error):
+    results = tiny_tree / "results"
+    proc = run_cli(["run", "--config", "base", *args, "--policy", "0,3,min",
+                    "--data-dir", str(tiny_tree / "data"),
+                    "--results-dir", str(results)])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("name", ["a&b", "a b", "a,b", "sub/x", ".hidden"])
+def test_run_rejects_an_unsafe_matrix_name(tiny_tree, name):
+    # the file exists, so only the name can stop the run
+    data, results = tiny_tree / "data", tiny_tree / "results"
+    matrix_path(data, name).parent.mkdir(exist_ok=True)
+    write_matrix_market(matrix_path(data, name), gen_spd(6, seed=1))
+    proc = run_cli(["run", "--config", "base", "--bench", "TRMAT",
+                    "--matrix", name, "--policy", "0,3,min",
+                    "--data-dir", str(data), "--results-dir", str(results)])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: matrix name {name!r} must be letters")
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("bench, name", [
+    ("TRMAT", "codecs4812.dc"), ("TRMAT", "spd2000s7"), ("ASM", "none")])
+def test_run_accepts_safe_matrix_names(tiny_tree, bench, name):
+    data = tiny_tree / "data"
+    write_matrix_market(matrix_path(data, name), gen_spd(6, seed=1))
+    code = main(["run", "--config", "base", "--bench", bench,
+                 "--matrix", name, "--policy", "0,3,min",
+                 "--data-dir", str(data),
+                 "--results-dir", str(tiny_tree / "results")])
+    assert code == 0
+    assert (tiny_tree / "results" / "base" / f"{bench}__{name}.time").exists()
+
+
 def test_run_with_config_file(tiny_tree):
     cfg = tiny_tree / "grid.cfg"
     cfg.write_text("id base\nid tuned\ncflags -O\n")

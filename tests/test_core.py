@@ -1,5 +1,6 @@
 """Storage schemes, conversions and their structural invariants."""
 
+import gc
 import random
 
 import pytest
@@ -177,6 +178,54 @@ def test_ortho_column_chains_visit_the_row_entries(m):
         assert all(e.col == i for e in col)
         assert all(a.row < b.row for a, b in zip(col, col[1:]))
         assert o.diag[i] in col and o.diag[i].row == i
+
+
+def _build_with_gc_off(build, m):
+    """``build(m)`` and the SparseElements it allocated, oldest first.
+
+    Collecting the youngest generation empties it; with the GC off it
+    then lists what the build allocated, in order.
+    """
+    was = gc.isenabled()
+    gc.collect(0)
+    gc.disable()
+    try:
+        out = build(m)
+        young = gc.get_objects(generation=0)
+    finally:
+        if was:
+            gc.enable()
+    return out, [o for o in young if type(o) is SparseElement]
+
+
+def _row_major(storage):
+    return [e for i in range(storage.size) for e in storage.row_elements(i)]
+
+
+@pytest.mark.parametrize("build", [csr_to_linked, csr_to_ortho])
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_builders_allocate_one_node_per_entry_row_major(build, m):
+    # heap layout biases a pointer kernel, so the allocation order is a contract
+    out, allocated = _build_with_gc_off(build, m)
+    assert [id(e) for e in allocated] == [id(e) for e in _row_major(out)]
+
+
+def _slots(e):
+    """A node's slots by name; an unset slot raises AttributeError."""
+    return {s: getattr(e, s) for s in SparseElement.__slots__}
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_builders_set_every_slot_of_every_node(m):
+    for e in _row_major(csr_to_linked(m)):
+        slots = _slots(e)
+        assert slots["row"] is None and slots["next_in_col"] is None
+    o = csr_to_ortho(m)
+    for i in range(o.size):
+        assert all(_slots(e)["row"] == i for e in o.row_elements(i))
+        assert o.diag[i].col == i
 
 
 def test_build_ortho_custom_maps():
