@@ -337,26 +337,14 @@ def measure(benchmark: str, cell_input, warmup_runs: int,
 
 
 def run_job(job: dict) -> dict:
-    """Run the cell a job describes; the payload is not yet gated.
+    """Run the cell a job describes; returns what it measured, not gated.
 
-    A job is {benchmark, matrix, input_dir, policy}: ``input_dir``
-    holds the arrays the parent wrote (see ``INPUT_PARTS``), and the
-    policy is a dict of ``TimingPolicy`` fields.
+    A job is {benchmark, matrix, input_dir, warmup_runs, measured_runs}:
+    ``input_dir`` holds the arrays the parent wrote (see ``INPUT_PARTS``)
+    and the run counts are a ``TimingPolicy``'s. The payload is {runs,
+    checksums}; the parent aggregates the runs and gates the checksums.
     """
-    policy = TimingPolicy(**job["policy"])
     cell_input = load_input(job["benchmark"], job["matrix"], job["input_dir"])
-    runs, got = measure(job["benchmark"], cell_input, policy.warmup_runs,
-                        policy.measured_runs)
-    med, mn = statistics.median(runs), min(runs)
-    return {
-        "benchmark": job["benchmark"],
-        "matrix": job["matrix"],
-        "seconds": policy.aggregate(runs),
-        "runs": runs,
-        "aggregator": policy.aggregator,
-        "warmup_runs": policy.warmup_runs,
-        "measured_runs": policy.measured_runs,
-        "dispersion_ok": not (policy.measured_runs >= 5 and mn > 0
-                              and med / mn > 1.5),
-        "checksums": got,
-    }
+    runs, got = measure(job["benchmark"], cell_input, job["warmup_runs"],
+                        job["measured_runs"])
+    return {"runs": runs, "checksums": got}

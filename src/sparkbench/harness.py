@@ -4,8 +4,9 @@ Runs benchmark x matrix x configuration grids. Every cell executes in a
 fresh interpreter subprocess (the configuration's interpreter and flag
 set) through the runner side in ``cells``: it performs its setup
 untimed, times only the kernel invocation under the given policy and
-returns a checksum of the kernel's result. The parent admits the cell
-only if that checksum matches an independently computed reference.
+returns the run times and a checksum of the kernel's result. The parent
+admits the cell only if that checksum matches an independently computed
+reference, and only then builds the cell's record and its seconds.
 Cell results land in ``results/<config>/<benchmark>__<matrix>.time``;
 the aggregator folds the tree into the space-separated ``spark.dat``
 with one ``id benchmark matrix reftime time`` line per cell, and the
@@ -74,8 +75,8 @@ class OracleMismatchError(HarnessError):
 
 
 _GATE_RTOL = 1e-6
-# A config id or matrix name is a path segment and a field of spark.dat,
-# the CSV and the SVGs.
+# A config id, benchmark or matrix name is a path segment and a field of
+# spark.dat, the CSV and the SVGs.
 _SAFE_NAME = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9._+-]*")
 # The directory holding the sparkbench package, put first on a cell's
 # PYTHONPATH so that any interpreter can import the runner.
@@ -118,10 +119,9 @@ class BenchRecord:
     time: float
 
     def __post_init__(self):
-        for name in (self.id, self.benchmark, self.matrix):
-            if not name or any(ch.isspace() for ch in name):
-                raise ParameterError(
-                    f"record field {name!r} must be nonempty without whitespace")
+        _check_name("config id", self.id)
+        _check_name("benchmark", self.benchmark)
+        _check_name("matrix name", self.matrix)
         if not (self.reftime > 0.0 and self.time > 0.0):
             raise ParameterError("reftime and time must be positive")
 
@@ -170,14 +170,21 @@ def _checksums_match(got: dict, want: dict) -> bool:
     return True
 
 
-def _gate(payload: dict, ref: dict) -> dict:
-    """Admit a runner payload only if its checksums match the reference."""
-    ok = _checksums_match(payload["checksums"], ref)
-    payload["ok"] = ok
-    payload["error"] = None if ok else "oracle checksum mismatch: " + json.dumps(
-        {"got": payload["checksums"], "want": ref}, sort_keys=True)
-    payload["ref_checksums"] = ref
-    return payload
+def _admit(benchmark: str, matrix: str, policy: TimingPolicy, payload: dict,
+           ref: dict) -> dict:
+    """The record of a cell whose runner payload matches its reference.
+
+    A payload is the runner's {runs, checksums}; the record adds the
+    cell's names, the policy and its aggregate of the runs. A mismatch
+    raises ``OracleMismatchError`` and yields no record.
+    """
+    got, runs = payload["checksums"], payload["runs"]
+    if not _checksums_match(got, ref):
+        raise OracleMismatchError("oracle checksum mismatch: " + json.dumps(
+            {"got": got, "want": ref}, sort_keys=True))
+    return {"benchmark": benchmark, "matrix": matrix, **dataclasses.asdict(policy),
+            "seconds": policy.aggregate(runs), "runs": runs, "checksums": got,
+            "ref_checksums": ref}
 
 
 def _scipy_csr(m: CsrMatrix):
@@ -450,7 +457,8 @@ class Prepared:
         """The runner's job for one cell."""
         return {"benchmark": benchmark, "matrix": matrix,
                 "input_dir": os.fspath(self.input_dir),
-                "policy": dataclasses.asdict(policy)}
+                "warmup_runs": policy.warmup_runs,
+                "measured_runs": policy.measured_runs}
 
 
 def load_matrix(data_dir, name: str) -> CsrMatrix:
@@ -480,14 +488,15 @@ def prepare(benchmarks: list, matrices: list, data_dir) -> Prepared:
 def execute_cell(benchmark: str, matrix: str, data_dir, policy: TimingPolicy) -> dict:
     """Run and gate one (benchmark, matrix) cell in this process.
 
-    The same runner-side job and parent-side gate as a subprocess cell,
-    without the spawn. A rejected cell has ok=False and no usable
-    seconds.
+    The same runner-side job and parent-side admission as a subprocess
+    cell, without the spawn. Returns the cell's record; a rejected cell
+    raises ``OracleMismatchError``.
     """
     check_cell(benchmark, matrix)
     with prepare([benchmark], [matrix], data_dir) as prep:
         ref = prep.reference(benchmark, matrix)
-        return _gate(run_job(prep.job(benchmark, matrix, policy)), ref)
+        return _admit(benchmark, matrix, policy,
+                      run_job(prep.job(benchmark, matrix, policy)), ref)
 
 
 def _runner_command(config: BenchConfig) -> list:
@@ -504,14 +513,15 @@ def _runner_env() -> dict:
 
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
                         policy: TimingPolicy, prep: Prepared) -> dict:
-    """Run one cell in the configuration's interpreter; returns the gated payload.
+    """Run one cell in the configuration's interpreter; returns its record.
 
     ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
-    the cell reads its arrays and is gated against its reference. A
-    nonzero exit raises ``HarnessError``: its first line names the cell,
-    the exit status and the last line of the runner's stderr, and the
-    stderr tail (at most 500 characters) follows. So does a zero exit
-    whose stdout is no JSON object, marked "no payload".
+    the cell reads its arrays and is gated against its reference. The
+    record is ``_admit``'s plus the configuration id. A nonzero exit
+    raises ``HarnessError``: its first line names the cell, the exit
+    status and the last line of the runner's stderr, and the stderr
+    tail (at most 500 characters) follows. So does a zero exit whose
+    stdout is no JSON object, marked "no payload".
     """
     ref = prep.reference(benchmark, matrix)
     proc = subprocess.run(
@@ -527,8 +537,7 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
         status = f"exit status {proc.returncode}" if proc.returncode else "no payload"
         raise HarnessError(f"runner failed for {benchmark}/{matrix} under "
                            f"{config.id} ({status}): {last}\n{tail}")
-    payload["config"] = config.id
-    return _gate(payload, ref)
+    return {**_admit(benchmark, matrix, policy, payload, ref), "config": config.id}
 
 
 def time_file_path(results_root, config_id: str, benchmark: str,
@@ -537,13 +546,13 @@ def time_file_path(results_root, config_id: str, benchmark: str,
 
 
 _TIME_KEYS = ("benchmark", "matrix", "config", "seconds", "aggregator",
-              "warmup_runs", "measured_runs", "dispersion_ok", "runs",
-              "checksums", "ref_checksums")
+              "warmup_runs", "measured_runs", "runs", "checksums",
+              "ref_checksums")
 
 
-def write_time_file(path, payload: dict) -> None:
-    """Write a cell's .time file, the ``_TIME_KEYS`` of its gated payload
-    as one JSON object, whole or not at all.
+def write_time_file(path, record: dict) -> None:
+    """Write a cell's .time file, the ``_TIME_KEYS`` of its record as one
+    JSON object, whole or not at all.
 
     The text goes to a temporary file beside it that is then renamed
     into place, so a crash never leaves a truncated .time file.
@@ -551,19 +560,20 @@ def write_time_file(path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({k: payload[k] for k in _TIME_KEYS}, sort_keys=True)
+    tmp.write_text(json.dumps({k: record[k] for k in _TIME_KEYS}, sort_keys=True)
                    + "\n", encoding="ascii", newline="\n")
     os.replace(tmp, path)
 
 
 def parse_time_file(path) -> dict:
     """Read a .time file; text that is not such a JSON object, a missing
-    key, a cut last line or seconds that are not finite and positive
-    make it malformed."""
+    key, a cut last line, names that are not strings or seconds that are
+    not finite and positive make it malformed."""
     try:
         text = Path(path).read_text(encoding="ascii")
         out = json.loads(text)
         ok = (text.endswith("\n") and all(k in out for k in _TIME_KEYS)
+              and isinstance(out["benchmark"], str) and isinstance(out["matrix"], str)
               and math.isfinite(out["seconds"]) and out["seconds"] > 0)
     except (ValueError, TypeError):
         ok = False
@@ -617,18 +627,13 @@ def _record_cell(results_root, name, mat, config, policy, prep) -> str:
     tpath = time_file_path(results_root, config.id, name, mat)
     epath = tpath.with_suffix(".err")
     try:
-        payload = run_cell_subprocess(name, mat, config, policy, prep)
-        if not payload["ok"]:
-            raise OracleMismatchError(payload["error"])
-        write_time_file(tpath, payload)
-        if epath.exists():
-            epath.unlink()
+        write_time_file(tpath, run_cell_subprocess(name, mat, config, policy, prep))
+        epath.unlink(missing_ok=True)
         return "ok"
     except Exception as exc:
         epath.parent.mkdir(parents=True, exist_ok=True)
         epath.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
-        if tpath.exists():
-            tpath.unlink()
+        tpath.unlink(missing_ok=True)
         return f"failed: {type(exc).__name__}"
 
 
@@ -639,8 +644,9 @@ def aggregate(results_root, out_path=None) -> tuple:
     single spaces, %.6f seconds, sorted by (id, benchmark, matrix), LF
     line endings. reftime is the base configuration's seconds for the
     same (benchmark, matrix); cells without a base measurement are
-    skipped with a warning, and so is a malformed .time file. Returns
-    (path written, warnings).
+    skipped with a warning, and so are a malformed .time file and a
+    cell whose names break the config-id rule. Returns (path written,
+    warnings).
     """
     results_root = Path(results_root)
     if not (results_root / "base").is_dir():
@@ -657,14 +663,16 @@ def aggregate(results_root, out_path=None) -> tuple:
             cells[(cfg_dir.name, d["benchmark"], d["matrix"])] = d["seconds"]
     base_times = {(b, m): s for (i, b, m), s in cells.items() if i == "base"}
     lines = []
-    for key in sorted(cells):
-        cid, bench, mat = key
+    for (cid, bench, mat), seconds in sorted(cells.items()):
         ref = base_times.get((bench, mat))
         if ref is None:
             warnings.append(f"no base measurement for {bench} {mat}; "
                             f"skipping {cid}")
             continue
-        lines.append(BenchRecord(cid, bench, mat, ref, cells[key]).format_line())
+        try:
+            lines.append(BenchRecord(cid, bench, mat, ref, seconds).format_line())
+        except ParameterError as exc:
+            warnings.append(f"{exc}; skipping {cid} {bench} {mat}")
     if out_path is None:
         out_path = results_root.parent / "exp" / "data" / "spark.dat"
     out_path = Path(out_path)
@@ -803,9 +811,9 @@ def report(spark_dat, out_dir) -> tuple:
     Returns (csv path, list of svg paths, notices). Empty input yields a
     header-only CSV and a notice instead of charts.
     """
+    records = parse_spark_dat(spark_dat)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = parse_spark_dat(spark_dat)
     non_base = [r for r in records if r.id != "base"]
 
     csv_path = out_dir / "speedups.csv"
@@ -871,8 +879,11 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
     """Check every kernel against its oracle on small seeded fixtures.
 
     Returns (label, ok, detail) tuples in a fixed order; ok is True or
-    False. The output is a pure function of the arguments.
+    False. The output is a pure function of the arguments. A count
+    below 1 raises ``ParameterError``: no fixture, no pass.
     """
+    if count < 1:
+        raise ParameterError(f"fixture count must be at least 1, got {count}")
     import random
 
     from . import oracles
@@ -1007,7 +1018,7 @@ def verify_matrix(data_dir, name: str) -> tuple:
 
     Uses the harness admission checksums (the oracle module's dense
     routines do not scale this far), through the same runner-side
-    ``measure`` and parent-side gate as a grid cell, on one read of the
+    ``measure`` and parent-side comparison as a grid cell, on one read of the
     matrix. Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
     """
@@ -1030,12 +1041,11 @@ def verify_matrix(data_dir, name: str) -> tuple:
         for bname in benches:
             try:
                 ref = prep.reference(bname, name)
-                cell_input = load_input(bname, name, prep.input_dir)
-                _runs, got = measure(bname, cell_input, 0, 1)
+                _runs, got = measure(bname, load_input(bname, name, prep.input_dir), 0, 1)
             except Exception as exc:
                 problems.append(f"{bname}: {type(exc).__name__}: {exc}")
                 continue
-            if _gate({"checksums": got}, ref)["ok"]:
+            if _checksums_match(got, ref):
                 gated += 1
             else:
                 problems.append(f"{bname}: checksum mismatch")
@@ -1058,9 +1068,10 @@ def parse_config_file(path) -> list:
 
     Each block starts with an ``id`` line; ``cflags`` and ``cc`` are
     optional within a block. Blank lines and '#' comments are ignored.
+    A ``cflags`` line is split here as a cell's command line splits it,
+    so one that cannot be split fails the file, not every cell.
     """
     configs = []
-    current = None
     for lineno, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -1068,25 +1079,21 @@ def parse_config_file(path) -> list:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "id":
-            if current is not None:
-                configs.append(current)
-            try:
-                current = BenchConfig(rest)
-            except ParameterError as exc:
-                raise HarnessError(f"{path}:{lineno}: {exc}") from None
-        elif key == "cflags":
-            if current is None:
-                raise HarnessError(f"{path}:{lineno}: cflags before id")
-            current.build_flags = rest
-        elif key == "cc":
-            if current is None:
-                raise HarnessError(f"{path}:{lineno}: cc before id")
-            current.compiler_override = rest or None
-        else:
-            raise HarnessError(f"{path}:{lineno}: unknown key {key!r}")
-    if current is not None:
-        configs.append(current)
+        where = f"{path}:{lineno}"
+        if key not in ("id", "cflags", "cc"):
+            raise HarnessError(f"{where}: unknown key {key!r}")
+        if key != "id" and not configs:
+            raise HarnessError(f"{where}: {key} before id")
+        try:
+            if key == "id":
+                configs.append(BenchConfig(rest))
+            elif key == "cflags":
+                shlex.split(rest)
+                configs[-1].build_flags = rest
+            else:
+                configs[-1].compiler_override = rest or None
+        except (ParameterError, ValueError) as exc:
+            raise HarnessError(f"{where}: {exc}") from None
     if not configs:
         raise HarnessError(f"{path}: no configurations defined")
     return configs

@@ -205,6 +205,31 @@ def test_aggregate_without_base_fails(tmp_path, capsys):
     assert "base" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", ["../../escape", "a&b"])
+def test_report_rejects_an_unsafe_name_in_spark_dat(tmp_path, matrix):
+    dat = tmp_path / "in" / "spark.dat"
+    dat.parent.mkdir()
+    dat.write_text("base TRMAT m 0.500000 0.500000\n"
+                   f"opt1 TRMAT {matrix} 0.500000 0.250000\n")
+    out_dir = tmp_path / "a" / "b" / "report"
+    proc = run_cli(["report", "--spark-dat", str(dat), "--out-dir", str(out_dir)])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: matrix name {matrix!r} must be letters")
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == ["in", "in/spark.dat"]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_a_fixture_count_below_one(tmp_path, count):
+    proc = run_cli(["verify", "--data-dir", str(tmp_path / "empty"),
+                    "--fixtures", count])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: fixture count must be at least 1, got {count}"]
+
+
 def test_verify_skips_missing_matrices(tmp_path, capsys):
     code = main(["verify", "--data-dir", str(tmp_path / "empty"),
                  "--fixtures", "4"])

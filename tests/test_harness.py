@@ -16,7 +16,10 @@ from sparkbench.harness import (
     BenchConfig,
     BenchRecord,
     HarnessError,
+    OracleMismatchError,
     TimingPolicy,
+    _TIME_KEYS,
+    _admit,
     _checksums_match,
     _record_cell,
     _reference_cm,
@@ -71,8 +74,13 @@ def test_record_parse_rejects_malformed(line):
 
 
 def test_record_rejects_bad_fields():
-    with pytest.raises(ParameterError):
-        BenchRecord("a b", "X", "m", 1.0, 1.0)
+    for bad in ("a b", "a&b", "a/b", ".hidden"):
+        with pytest.raises(ParameterError):
+            BenchRecord(bad, "X", "m", 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            BenchRecord("a", bad, "m", 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            BenchRecord("a", "X", bad, 1.0, 1.0)
     with pytest.raises(ParameterError):
         BenchRecord("a", "X", "m", 0.0, 1.0)
 
@@ -142,7 +150,6 @@ def test_registry_shape():
 
 def test_execute_cell_measures_and_gates(tiny_data):
     payload = execute_cell("SPMATVEC", "tiny", tiny_data, FAST)
-    assert payload["ok"]
     assert len(payload["runs"]) == 3
     assert payload["seconds"] == min(payload["runs"])
     assert payload["checksums"].keys() == payload["ref_checksums"].keys()
@@ -161,18 +168,43 @@ def test_execute_cell_rejects_mismatched_shapes(tiny_data):
 
 def test_corruption_hook_fails_gate(tiny_data, monkeypatch):
     monkeypatch.setenv("SPARKBENCH_CORRUPT", "SPMATVEC")
-    payload = execute_cell("SPMATVEC", "tiny", tiny_data, FAST)
-    assert not payload["ok"]
-    assert "mismatch" in payload["error"]
+    with pytest.raises(OracleMismatchError, match="mismatch"):
+        execute_cell("SPMATVEC", "tiny", tiny_data, FAST)
     # other benchmarks are unaffected by the hook
-    assert execute_cell("TRMAT", "tiny", tiny_data, FAST)["ok"]
+    execute_cell("TRMAT", "tiny", tiny_data, FAST)
 
 
 def test_every_benchmark_gates_green(tiny_data):
     for name in BENCHMARK_ORDER:
-        mat = "none" if name == "ASM" else "tiny"
-        payload = execute_cell(name, mat, tiny_data, FAST)
-        assert payload["ok"], (name, payload["error"])
+        execute_cell(name, "none" if name == "ASM" else "tiny", tiny_data, FAST)
+
+
+def test_admit_builds_the_record_of_a_matching_payload():
+    policy = TimingPolicy(1, 3, "median")
+    payload = {"runs": [3.0, 1.0, 2.0], "checksums": {"y": 1.0 + 5e-7}}
+    assert _admit("TRMAT", "tiny", policy, payload, {"y": 1.0}) == {
+        "benchmark": "TRMAT", "matrix": "tiny", "warmup_runs": 1,
+        "measured_runs": 3, "aggregator": "median", "seconds": 2.0,
+        "runs": [3.0, 1.0, 2.0], "checksums": {"y": 1.0 + 5e-7},
+        "ref_checksums": {"y": 1.0}}
+    payload["checksums"] = {"y": 1.5}
+    with pytest.raises(OracleMismatchError,
+                       match=re.escape('oracle checksum mismatch: {"got": {"y": 1.5}')):
+        _admit("TRMAT", "tiny", policy, payload, {"y": 1.0})
+
+
+def test_a_recorded_cell_holds_the_time_keys_and_the_parents_seconds(tiny_data,
+                                                                     tmp_path):
+    root = tmp_path / "results"
+    policy = TimingPolicy(0, 5, "median")
+    outcomes = run_suite([BenchConfig("base")], ["TRMAT", "CMCK", "ASM"], ["tiny"],
+                         policy, tiny_data, root)
+    assert [s for *_, s in outcomes] == ["ok"] * 3
+    for _, name, mat, _ in outcomes:
+        d = parse_time_file(time_file_path(root, "base", name, mat))
+        assert sorted(d) == sorted(_TIME_KEYS)
+        assert "dispersion_ok" not in d
+        assert d["seconds"] == policy.aggregate(d["runs"])
 
 
 # --- dsolve setup at harness scale --------------------------------------------
@@ -339,6 +371,32 @@ def test_aggregate_skips_time_file_without_positive_seconds(tmp_path, seconds):
         "fast TRMAT add32 0.125000 0.100000\n", "")
 
 
+def test_aggregate_skips_a_cell_whose_names_break_the_rule(tmp_path):
+    root = tmp_path / "results"
+    golden_tree(root)
+    for bench, mat, sec in (("SPMATVEC", "add32", 0.25), ("ASM", "none", 1.0)):
+        write_time_file(time_file_path(root, "my run", bench, mat),
+                        make_payload("my run", bench, mat, sec))
+    out, warnings = aggregate(root)
+    assert len(warnings) == 2
+    assert all("config id 'my run'" in w for w in warnings)
+    assert out.read_bytes() == GOLDEN.encode("ascii")
+
+
+@pytest.mark.parametrize("key", ["benchmark", "matrix"])
+def test_aggregate_skips_a_time_file_whose_names_are_not_strings(tmp_path, key):
+    root = tmp_path / "results"
+    golden_tree(root)
+    for cid in ("base", "fast"):
+        payload = make_payload(cid, "TRMAT", "add32", 0.125)
+        payload[key] = 5
+        write_time_file(time_file_path(root, cid, "TRMAT", "add32"), payload)
+    out, warnings = aggregate(root)
+    assert len(warnings) == 2 and all("malformed" in w for w in warnings)
+    assert out.read_text() == "".join(
+        line + "\n" for line in GOLDEN.splitlines() if "TRMAT" not in line)
+
+
 def test_aggregate_requires_base_dir(tmp_path):
     root = tmp_path / "results"
     (root / "fast").mkdir(parents=True)
@@ -488,6 +546,15 @@ def test_parse_config_file_rejects_stray_keys(tmp_path):
         parse_config_file(p)
     p.write_text("# nothing\n")
     with pytest.raises(HarnessError):
+        parse_config_file(p)
+
+
+def test_parse_config_file_rejects_flags_that_cannot_be_split(tmp_path):
+    # otherwise every cell of the configuration fails with a bare ValueError
+    p = tmp_path / "bad.cfg"
+    p.write_text('id base\nid bad\ncflags -c "import x\n')
+    with pytest.raises(HarnessError,
+                       match=re.escape(f"{p}:3: No closing quotation")):
         parse_config_file(p)
 
 
