@@ -6,13 +6,14 @@ Python 3.10+ interpreter can run a cell without numpy or scipy. The
 references a digest is gated against are computed by the parent
 (``harness``), which fills in each registry entry's ``reference``.
 
-A cell parses no Matrix Market text. Its input is a set of raw arrays
-the parent wrote into an input directory from the one parse it made
-for the references (``INPUT_PARTS`` names the arrays of each kind and
-their ``array`` typecodes): the matrix's CSR arrays, handed to setup as
-a ``CsrMatrix`` of plain lists, or for DSOLVE the LU factor of the
-matrix, or nothing for ASM. A job names that directory, never the
-matrix directory.
+A cell parses no Matrix Market text and builds nothing the parent has
+built for its references. Its input is a set of raw arrays the parent
+wrote into an input directory (``INPUT_PARTS`` names the arrays of each
+kind and their ``array`` typecodes; a benchmark's ``inputs`` name its
+kinds): the matrix's CSR arrays, handed to setup as a ``CsrMatrix`` of
+plain lists, DSOLVE's LU factor of the matrix, MPERM's Cuthill-McKee
+ordering of it, or ASM's mesh with its symbolic pattern. A job names
+that directory, never the matrix directory.
 
 Setup runs with the cyclic garbage collector paused, and the heap it
 built is frozen while the kernel runs, so a collection during a timed
@@ -30,15 +31,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import matio
-from .arr_kernels import _mperm_fill, _sort_rows, asm_numeric, asm_symbolic, cmck, trmat
+from .arr_kernels import _mperm_fill, _sort_rows, asm_numeric, cmck, trmat
 from .core import (
     CsrMatrix,
     ParameterError,
+    Permutation,
     SparkBenchError,
     build_ortho,
     csr_to_linked,
 )
-from .matio import gen_tri_mesh, symmetrize_lower
+from .matio import TriMesh, symmetrize_lower
 from .ptr_kernels import (
     JacobiParams,
     PcgParams,
@@ -68,11 +70,17 @@ CORRUPT_ENV = "SPARKBENCH_CORRUPT"
 # The arrays of a cell's input, native-endian int64 / float64: a matrix
 # ("csr") is its shape (rows, columns) and CSR arrays; DSOLVE's input
 # ("lu") is the merged LU factor of its matrix, the CSR arrays of the
-# combined factor plus the row and column maps.
+# combined factor plus the row and column maps; MPERM's ordering
+# ("perm") is a Permutation's two maps; ASM's input ("asm", matrix
+# "none") is the mesh's node coordinates and element corners, row-major,
+# the symbolic pattern's CSR structure and the 9 slots of each element.
 INPUT_PARTS = {
     "csr": {"shape": "q", "row_ptr": "q", "col_ind": "q", "values": "d"},
     "lu": {"row_ptr": "q", "col_ind": "q", "values": "d",
            "row_map": "q", "col_map": "q"},
+    "perm": {"forward": "q", "inverse": "q"},
+    "asm": {"nodes": "d", "elements": "q", "row_ptr": "q", "col_ind": "q",
+            "slots": "q"},
 }
 
 
@@ -156,9 +164,20 @@ def _digest_pcg(result):
     return {"x": weighted_checksum(x), "iterations": float(iterations)}
 
 
-def _setup_asm(_unused):
-    mesh = gen_tri_mesh(*ASM_MESH)
-    return (mesh, *asm_symbolic(mesh))
+def _rows(values, width: int) -> list:
+    """A flat array as a list of ``width``-tuples."""
+    it = iter(values.tolist())
+    return list(zip(*[it] * width))
+
+
+def _setup_asm(asm):
+    """The mesh and the all-zero pattern and slots ``asm_symbolic`` made
+    of it, as the parent built them."""
+    nodes = _rows(asm["nodes"], 2)
+    col_ind = asm["col_ind"].tolist()
+    pattern = CsrMatrix(len(nodes), len(nodes), asm["row_ptr"].tolist(), col_ind,
+                        [0.0] * len(col_ind))
+    return TriMesh(nodes, _rows(asm["elements"], 3)), pattern, _rows(asm["slots"], 9)
 
 
 def _run_asm(mesh, pattern, slots):
@@ -176,9 +195,10 @@ def _digest_csr(row_ptr, col_ind, values):
             "values": weighted_checksum(values)}
 
 
-def _setup_mperm(m):
-    sym = symmetrize_lower(m)
-    return sym, cmck(sym, check_pattern=False)
+def _setup_mperm(m, perm):
+    """The symmetrized matrix and the parent's ``cmck`` ordering of it."""
+    return symmetrize_lower(m), Permutation(perm["forward"].tolist(),
+                                            perm["inverse"].tolist())
 
 
 def _digest_mperm(result):
@@ -190,11 +210,11 @@ def _digest_mperm(result):
 class Benchmark:
     """A runnable kernel entry: setup, kernel, digest and reference.
 
-    ``setup`` turns the cell's input into the kernel's positional
-    arguments, ``run`` is the kernel (the one call a timed run makes)
-    and ``digest`` maps its result to named checksums. ``reference`` is
-    filled in by ``harness``; the runner never calls it. A ``factored``
-    benchmark's input is the LU factor of its matrix.
+    ``setup`` turns the cell's input, one argument per kind in
+    ``inputs``, into the kernel's positional arguments, ``run`` is the
+    kernel (the one call a timed run makes) and ``digest`` maps its
+    result to named checksums. ``reference`` is filled in by
+    ``harness``; the runner never calls it.
     """
 
     name: str
@@ -204,7 +224,7 @@ class Benchmark:
     run: callable
     digest: callable
     reference: callable = None
-    factored: bool = False
+    inputs: tuple = ("csr",)
 
 
 BENCHMARKS = {b.name: b for b in [
@@ -220,18 +240,19 @@ BENCHMARKS = {b.name: b for b in [
                          [0.0] * m.n_rows, JacobiParams()),
               jacit, lambda x: {"x": weighted_checksum(x)}),
     Benchmark("DSOLVE", "pointer", True, _setup_dsolve, dsolve,
-              lambda x: {"x": weighted_checksum(x)}, factored=True),
+              lambda x: {"x": weighted_checksum(x)}, inputs=("lu",)),
     Benchmark("PCG", "pointer", True,
               lambda m: (csr_to_linked(m), probe_vector(m.n_rows, RHS_SALT["PCG"]),
                          pcg_params()),
               pcg, _digest_pcg),
     Benchmark("ASM", "array", False, _setup_asm, _run_asm,
-              lambda k: {"values": weighted_checksum(k.values)}),
+              lambda k: {"values": weighted_checksum(k.values)}, inputs=("asm",)),
     Benchmark("TRMAT", "array", True, lambda m: (m,), trmat,
               lambda t: _digest_csr(t.row_ptr, t.col_ind, t.values)),
     Benchmark("CMCK", "array", True, lambda m: (symmetrize_lower(m), False), cmck,
               lambda p: {"forward": weighted_checksum(p.forward)}),
-    Benchmark("MPERM", "array", True, _setup_mperm, _mperm_fill, _digest_mperm),
+    Benchmark("MPERM", "array", True, _setup_mperm, _mperm_fill, _digest_mperm,
+              inputs=("csr", "perm")),
 ]}
 
 BENCHMARK_ORDER = list(BENCHMARKS)
@@ -280,15 +301,13 @@ def read_csr(input_dir, matrix: str) -> CsrMatrix:
                      a["col_ind"].tolist(), a["values"].tolist())
 
 
-def load_input(benchmark: str, matrix: str, input_dir):
-    """What the benchmark's setup takes: None, the matrix, or its factor."""
+def load_input(benchmark: str, matrix: str, input_dir) -> tuple:
+    """What the benchmark's setup takes, one value per kind of its
+    ``inputs``: the matrix as a ``CsrMatrix``, any other kind as arrays."""
     check_cell(benchmark, matrix)
-    bench = BENCHMARKS[benchmark]
-    if not bench.needs_matrix:
-        return None
-    if bench.factored:
-        return read_input(input_dir, matrix, "lu")
-    return read_csr(input_dir, matrix)
+    return tuple(read_csr(input_dir, matrix) if kind == "csr"
+                 else read_input(input_dir, matrix, kind)
+                 for kind in BENCHMARKS[benchmark].inputs)
 
 
 # --- measurement -----------------------------------------------------------------
@@ -311,7 +330,7 @@ def measure(benchmark: str, cell_input, warmup_runs: int,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = bench.setup(cell_input)
+        args = bench.setup(*cell_input)
         # Frozen before the collector is back on: freezing resets the
         # young generation's count, so no collection scans the new heap.
         gc.freeze()

@@ -1,10 +1,12 @@
 """Benchmark harness, parent side: references, gate, grids and reports.
 
 Runs benchmark x matrix x configuration grids. Every cell executes in a
-fresh interpreter subprocess (the configuration's interpreter and flag
-set) through the runner side in ``cells``: it performs its setup
-untimed, times only the kernel invocation under the given policy and
-returns the run times and a checksum of the kernel's result. The parent
+fresh process under the configuration's interpreter and flag set: a
+child that the configuration's runner (``_runner``, one per
+configuration and run, held by ``Prepared``) forks for it. The child
+runs the runner side in ``cells``: it performs its setup untimed, times
+only the kernel invocation under the given policy and returns the run
+times and a checksum of the kernel's result. The parent
 admits the cell only if that checksum matches an independently computed
 reference, and only then builds the cell's record and its seconds.
 Cell results land in ``results/<config>/<benchmark>__<matrix>.time``;
@@ -18,8 +20,9 @@ inputs, so they are built on numpy/scipy instead of brute-force dense
 loops. They share no code with the kernels and never run in a cell's
 interpreter. A grid computes them once per (benchmark, matrix), from
 one load of each matrix, before its first cell. That load is the only
-parse of the matrix: its CSR arrays, and DSOLVE's sparse LU factor
-computed here as well, are handed to the cells as raw arrays.
+parse of the matrix: its CSR arrays, and what the references build on
+the way (DSOLVE's sparse LU factor, MPERM's ordering, ASM's mesh and
+symbolic pattern), are handed to the cells as raw arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import matio
-from .arr_kernels import cmck, trmat
+from .arr_kernels import asm_symbolic, cmck, trmat
 from .cells import (
     ASM_MESH,
     BENCHMARK_ORDER,
@@ -198,11 +201,15 @@ def _scipy_csr(m: CsrMatrix):
 # --- references ---------------------------------------------------------------
 
 class _Operands:
-    """One matrix's operands for the references, each built on first use."""
+    """One matrix's operands for the references and the cells' inputs,
+    each built on first use; ``m`` is None for matrix "none" (ASM)."""
 
     def __init__(self, m: CsrMatrix):
         self.m = m
-        self.n = m.n_rows
+
+    @property
+    def n(self):
+        return self.m.n_rows
 
     @cached_property
     def csr(self):
@@ -215,6 +222,17 @@ class _Operands:
     @cached_property
     def sym(self):
         return symmetrize_lower(self.m)
+
+    @cached_property
+    def perm(self):
+        """MPERM's ordering: the kernel's own Cuthill-McKee order."""
+        return cmck(self.sym, check_pattern=False)
+
+    @cached_property
+    def asm(self):
+        """ASM's mesh, and the pattern and slots of its symbolic phase."""
+        mesh = gen_tri_mesh(*ASM_MESH)
+        return (mesh, *asm_symbolic(mesh))
 
 
 def _ref_spmatvec(op):
@@ -284,6 +302,23 @@ def _write_factor(lu_obj, input_dir, matrix: str) -> None:
         "values": combined.data[keep], "row_map": inv_r, "col_map": inv_c})
 
 
+def _write_perm(p, input_dir, matrix: str) -> None:
+    _write_input(input_dir, matrix, "perm", {"forward": p.forward,
+                                             "inverse": p.inverse})
+
+
+def _write_asm(asm, input_dir, matrix: str) -> None:
+    mesh, pattern, slots = asm
+    _write_input(input_dir, matrix, "asm", {
+        "nodes": mesh.nodes, "elements": mesh.elements,
+        "row_ptr": pattern.row_ptr, "col_ind": pattern.col_ind, "slots": slots})
+
+
+# The writer of each input kind but "csr", called with the ``_Operands``
+# attribute of the same name.
+_INPUT_WRITERS = {"lu": _write_factor, "perm": _write_perm, "asm": _write_asm}
+
+
 def _ref_dsolve(op):
     x = op.lu.solve(np.asarray(probe_vector(op.n, salt=RHS_SALT["DSOLVE"])))
     return {"x": _np_checksum(x)}
@@ -319,9 +354,9 @@ def _ref_pcg(op):
     return {"x": _np_checksum(x), "iterations": float(used)}
 
 
-def _ref_asm(_unused):
+def _ref_asm(op):
     """Assemble the mesh's stiffness matrix with scipy's duplicate summing."""
-    mesh = gen_tri_mesh(*ASM_MESH)
+    mesh = op.asm[0]
     nodes = np.asarray(mesh.nodes, dtype=np.float64)
     elems = np.asarray(mesh.elements, dtype=np.int64)
     p1 = nodes[elems[:, 0]]
@@ -390,7 +425,7 @@ def _ref_cmck(op):
 
 def _ref_mperm(op):
     """Permute by the kernel's own ordering, which is MPERM's input."""
-    inv = np.asarray(cmck(op.sym, check_pattern=False).inverse, dtype=np.int64)
+    inv = np.asarray(op.perm.inverse, dtype=np.int64)
     b = _scipy_csr(op.sym)[inv][:, inv].tocsr()
     b.sort_indices()
     return {"row_ptr": _np_checksum(b.indptr), "col_ind": _np_checksum(b.indices),
@@ -411,39 +446,59 @@ ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
 # --- prepared inputs ------------------------------------------------------------
 
 class Prepared:
-    """The parent's inputs for the cells of one run; a context manager.
+    """The parent's inputs and runners for the cells of one run; a context
+    manager.
 
     ``refs`` maps (benchmark, matrix) to its reference checksums, or to
     the exception preparing them raised; that cell then fails with it.
     ``input_dir`` holds the arrays the cells read: each matrix's CSR
-    arrays and, for DSOLVE, its factor. It is a temporary directory,
-    removed when the ``with`` block exits, so nothing outlives the run.
+    arrays and whatever else a benchmark's ``inputs`` name. It is a
+    temporary directory, removed when the ``with`` block exits, so
+    nothing outlives the run. So are the runners: ``runner`` starts one
+    per configuration when a cell first needs it, and the exit closes
+    and reaps each.
     """
 
     def __init__(self):
         self._tmp = tempfile.TemporaryDirectory(prefix="sparkbench-")
         self.input_dir = Path(self._tmp.name)
         self.refs = {}
+        self._runners = {}
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._tmp.cleanup()
+        try:
+            for runner in self._runners.values():
+                runner.close()
+        finally:
+            self._tmp.cleanup()
+
+    def runner(self, config: BenchConfig) -> "_Runner":
+        """The configuration's runner; a new one if it has none or its
+        last one died."""
+        command = _runner_command(config)
+        runner = self._runners.get(tuple(command))
+        if runner is None or not runner.alive():
+            if runner is not None:
+                runner.close()
+            runner = self._runners[tuple(command)] = _Runner(command)
+        return runner
 
     def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
         """References of ``benchmarks`` on one loaded matrix (None for ASM),
-        and the matrix's arrays for their cells."""
-        op = None
+        and the arrays of their cells' inputs."""
+        op = _Operands(m)
         if m is not None:
-            op = _Operands(m)
             _write_matrix(m, self.input_dir, matrix)
         for name in benchmarks:
             bench = BENCHMARKS[name]
             try:
                 self.refs[(name, matrix)] = bench.reference(op)
-                if bench.factored:
-                    _write_factor(op.lu, self.input_dir, matrix)
+                for kind in bench.inputs:
+                    if kind != "csr":
+                        _INPUT_WRITERS[kind](getattr(op, kind), self.input_dir, matrix)
             except Exception as exc:
                 self.refs[(name, matrix)] = exc
 
@@ -511,30 +566,75 @@ def _runner_env() -> dict:
     return env
 
 
+class _Runner:
+    """A configuration's runner process (``sparkbench._runner``): a job
+    line in, a reply line out, one forked child per job.
+
+    The runner's own stderr goes to an anonymous file, so nothing it
+    writes there can block it; it is read once the runner has ended.
+    """
+
+    def __init__(self, command: list):
+        self._err = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=self._err, env=_runner_env(), text=True)
+        except BaseException:
+            self._err.close()
+            raise
+
+    def alive(self) -> bool:
+        return self._proc.poll() is None
+
+    def run(self, job: dict) -> tuple:
+        """(exit status, stdout, stderr) of the child that ran ``job``; or,
+        when the runner died or answered with anything but a reply, its
+        own exit status and stderr, with no stdout."""
+        try:
+            self._proc.stdin.write(json.dumps(job) + "\n")
+            self._proc.stdin.flush()
+            reply = json.loads(self._proc.stdout.readline())
+            return reply["status"], reply["stdout"], reply["stderr"]
+        except (OSError, ValueError, TypeError, KeyError):
+            status, stderr = self.close()
+            return status, "", stderr
+
+    def close(self) -> tuple:
+        """Close the runner's stdin and reap it; returns (exit status,
+        stderr). Closing again returns the same."""
+        if not self._err.closed:
+            self._proc.communicate()
+            self._err.seek(0)
+            self._stderr = self._err.read().decode(errors="replace")
+            self._err.close()
+        return self._proc.returncode, self._stderr
+
+
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
                         policy: TimingPolicy, prep: Prepared) -> dict:
-    """Run one cell in the configuration's interpreter; returns its record.
+    """Run one cell in a child of the configuration's runner; returns its
+    record.
 
     ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
-    the cell reads its arrays and is gated against its reference. The
-    record is ``_admit``'s plus the configuration id. A nonzero exit
-    raises ``HarnessError``: its first line names the cell, the exit
-    status and the last line of the runner's stderr, and the stderr
-    tail (at most 500 characters) follows. So does a zero exit whose
-    stdout is no JSON object, marked "no payload".
+    it holds the runner, the cell reads its arrays and is gated against
+    its reference. The record is ``_admit``'s plus the configuration id.
+    A nonzero exit of the child, or of a runner that died, raises
+    ``HarnessError``: its first line names the cell, the exit status and
+    the last line of the cell's stderr, and the stderr tail (at most 500
+    characters) follows. So does a zero exit whose stdout is no JSON
+    object, marked "no payload".
     """
     ref = prep.reference(benchmark, matrix)
-    proc = subprocess.run(
-        _runner_command(config), input=json.dumps(prep.job(benchmark, matrix, policy)),
-        capture_output=True, text=True, env=_runner_env())
+    status, stdout, stderr = prep.runner(config).run(prep.job(benchmark, matrix, policy))
     try:
-        payload = json.loads(proc.stdout) if proc.returncode == 0 else None
+        payload = json.loads(stdout) if status == 0 else None
     except json.JSONDecodeError:
         payload = None
     if not isinstance(payload, dict):
-        tail = proc.stderr.strip()[-500:]
+        tail = stderr.strip()[-500:]
         last = tail.splitlines()[-1] if tail else "no output on stderr"
-        status = f"exit status {proc.returncode}" if proc.returncode else "no payload"
+        status = f"exit status {status}" if status else "no payload"
         raise HarnessError(f"runner failed for {benchmark}/{matrix} under "
                            f"{config.id} ({status}): {last}\n{tail}")
     return {**_admit(benchmark, matrix, policy, payload, ref), "config": config.id}

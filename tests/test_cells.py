@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from conftest import csr_matrices
 from sparkbench import harness
-from sparkbench.cells import measure, read_csr, run_job
+from sparkbench.cells import load_input, measure, read_csr, run_job
 from sparkbench.core import CsrMatrix
 from sparkbench.harness import (
     BENCHMARKS,
@@ -121,12 +121,19 @@ def test_missing_matrix_fails_its_cells_only(tiny_data, tmp_path):
     assert "not found" in err
 
 
+def _asm_input():
+    """ASM's cell input as the parent hands it over."""
+    with harness.prepare(["ASM"], [], None) as prep:
+        return load_input("ASM", "none", prep.input_dir)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_measure_restores_the_callers_gc_state(enabled):
+    cell_input = _asm_input()
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        measure("ASM", None, 0, 3)
+        measure("ASM", cell_input, 0, 3)
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
     finally:
@@ -139,9 +146,10 @@ def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch):
         raise RuntimeError("kernel failed")
     monkeypatch.setitem(BENCHMARKS, "ASM",
                         dataclasses.replace(BENCHMARKS["ASM"], run=boom))
+    cell_input = _asm_input()
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="kernel failed"):
-        measure("ASM", None, 0, 3)
+        measure("ASM", cell_input, 0, 3)
     assert gc.isenabled()
     assert gc.get_freeze_count() == 0
 

@@ -2,10 +2,13 @@
 
 import random
 import re
+import shlex
+import subprocess
 
 import numpy as np
 import pytest
 
+from sparkbench import harness
 from sparkbench.cells import read_input
 from sparkbench.core import CsrMatrix, ParameterError
 from sparkbench.harness import (
@@ -471,6 +474,88 @@ def test_a_runner_exiting_without_a_payload_fails_only_its_cells(tiny_data,
             f"HarnessError: runner failed for {name}/{mat} under quiet "
             "(no payload): no output on stderr")
         assert not time_file_path(root, "quiet", name, mat).exists()
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Every process the harness starts, in start order."""
+    procs = []
+    popen = subprocess.Popen
+
+    def start(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+    monkeypatch.setattr(harness.subprocess, "Popen", start)
+    return procs
+
+
+def test_a_run_starts_one_runner_per_configuration(tiny_data, tmp_path, started):
+    configs = [BenchConfig("base"), BenchConfig("opt1", "-O")]
+    outcomes = run_suite(configs, ["TRMAT", "CMCK", "ASM"], ["tiny"], FAST,
+                         tiny_data, tmp_path / "results")
+    assert [s for *_, s in outcomes] == ["ok"] * 6
+    assert [p.args for p in started] == [harness._runner_command(c) for c in configs]
+
+
+def test_no_runner_outlives_prepare(tiny_data, started):
+    with pytest.raises(RuntimeError, match="stop"):
+        with prepare(["TRMAT"], ["tiny"], tiny_data) as prep:
+            for config in (BenchConfig("base"), BenchConfig("opt1", "-O")):
+                harness.run_cell_subprocess("TRMAT", "tiny", config, FAST, prep)
+            assert all(p.poll() is None for p in started)
+            raise RuntimeError("stop")
+    assert len(started) == 2
+    assert all(p.poll() is not None for p in started)
+
+
+def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
+    root = tmp_path / "results"
+    base = BenchConfig("base")
+    with prepare(["DSOLVE", "TRMAT"], ["tiny"], tiny_data) as prep:
+        (prep.input_dir / "tiny.lu.values").unlink()
+        assert _record_cell(root, "DSOLVE", "tiny", base, FAST,
+                            prep) == "failed: HarnessError"
+        assert _record_cell(root, "TRMAT", "tiny", base, FAST, prep) == "ok"
+        # a cell's stderr is its own child's: one traceback
+        status, stdout, stderr = prep.runner(base).run(prep.job("DSOLVE", "tiny", FAST))
+        assert (status, stdout, stderr.count("Traceback")) == (1, "", 1)
+    assert len(started) == 1
+    err = time_file_path(root, "base", "DSOLVE", "tiny").with_suffix(".err")
+    assert err.read_text().startswith(
+        "HarnessError: runner failed for DSOLVE/tiny under base (exit status 1): "
+        "FileNotFoundError: ")
+
+
+def test_a_missing_interpreter_fails_only_its_configuration(tiny_data, tmp_path):
+    configs = [BenchConfig("base"),
+               BenchConfig("ghost", "", str(tmp_path / "no-such-python"))]
+    outcomes = run_suite(configs, ["TRMAT", "ASM"], ["tiny"], FAST, tiny_data,
+                         tmp_path / "results")
+    assert [(c, s) for c, _, _, s in outcomes] == [
+        ("base", "ok"), ("base", "ok"),
+        ("ghost", "failed: FileNotFoundError"), ("ghost", "failed: FileNotFoundError")]
+
+
+@pytest.mark.parametrize("script", [
+    # a child that prints before its payload
+    "import sparkbench._runner as r; job = r.run_job; "
+    "r.run_job = lambda j: print('hello') or job(j); r.main()",
+    # a runner that answers with text and exits
+    "print('not a reply')",
+    # a runner that answers with text and waits for more input
+    "import sys; print('not a reply', flush=True); sys.stdin.read()",
+])
+def test_stray_stdout_fails_the_cell_as_no_payload(tiny_data, tmp_path, script):
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base"),
+                          BenchConfig("chatty", "-c " + shlex.quote(script))],
+                         ["TRMAT", "ASM"], ["tiny"], FAST, tiny_data, root)
+    assert [s for *_, s in outcomes] == ["ok", "ok"] + ["failed: HarnessError"] * 2
+    for name, mat in (("TRMAT", "tiny"), ("ASM", "none")):
+        err = time_file_path(root, "chatty", name, mat).with_suffix(".err")
+        assert err.read_text().splitlines()[0] == (
+            f"HarnessError: runner failed for {name}/{mat} under chatty "
+            "(no payload): no output on stderr")
 
 
 def test_run_suite_requires_base(tiny_data, tmp_path):
