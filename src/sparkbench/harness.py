@@ -479,11 +479,12 @@ class Prepared:
         """The configuration's runner; a new one if it has none or its
         last one died."""
         command = _runner_command(config)
-        runner = self._runners.get(tuple(command))
+        key = tuple(command)
+        runner = self._runners.get(key)
         if runner is None or not runner.alive():
             if runner is not None:
                 runner.close()
-            runner = self._runners[tuple(command)] = _Runner(command)
+            runner = self._runners[key] = _Runner(command)
         return runner
 
     def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
