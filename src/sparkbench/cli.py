@@ -28,25 +28,26 @@ def _policy(args) -> TimingPolicy:
 def cmd_gen(args) -> int:
     data_dir = Path(args.data_dir)
     written = []
-    if args.spd or args.banded or args.arrow or args.mesh:
+    extra = (args.spd, args.banded, args.arrow, args.mesh)
+    if any(a is not None for a in extra):
         data_dir.mkdir(parents=True, exist_ok=True)
-        if args.spd:
+        if args.spd is not None:
             m = matio.gen_spd(args.spd, seed=args.seed)
             p = matio.matrix_path(data_dir, f"spd{args.spd}s{args.seed}")
             matio.write_matrix_market(p, m, symmetry="symmetric")
             written.append(p)
-        if args.banded:
+        if args.banded is not None:
             bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2)]
             m = matio.gen_banded(args.banded, bands, seed=args.seed)
             p = matio.matrix_path(data_dir, f"banded{args.banded}s{args.seed}")
             matio.write_matrix_market(p, m)
             written.append(p)
-        if args.arrow:
+        if args.arrow is not None:
             m = matio.gen_arrow(args.arrow, seed=args.seed)
             p = matio.matrix_path(data_dir, f"arrow{args.arrow}s{args.seed}")
             matio.write_matrix_market(p, m)
             written.append(p)
-        if args.mesh:
+        if args.mesh is not None:
             nx, ny = args.mesh
             mesh = matio.gen_tri_mesh(nx, ny)
             p = data_dir / f"mesh{nx}x{ny}.txt"

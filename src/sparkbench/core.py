@@ -105,8 +105,12 @@ class CsrMatrix:
     @classmethod
     def from_triples(cls, n_rows: int, n_cols: int,
                      triples: Iterable[tuple]) -> "CsrMatrix":
-        """Build a CSR matrix from (row, col, value) triples in any order."""
-        entries = sorted(triples, key=lambda t: (t[0], t[1]))
+        """Build a CSR matrix from (row, col, value) triples in any order.
+
+        The triples sort as whole tuples: a value only breaks a tie between
+        two entries at one position, and such a pair raises anyway.
+        """
+        entries = sorted(triples)
         row_ptr = [0] * (n_rows + 1)
         col_ind = []
         values = []
@@ -217,6 +221,8 @@ class Permutation:
                 inv[new] = old
             self.inverse = inv
         else:
+            if len(self.inverse) != n:
+                raise PermutationError("inverse and forward differ in length")
             for old, new in enumerate(self.forward):
                 if self.inverse[new] != old:
                     raise PermutationError("inverse does not invert forward")

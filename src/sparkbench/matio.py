@@ -226,13 +226,19 @@ def write_matrix_market(path, m: CsrMatrix, symmetry: str = "general") -> None:
     """
     if symmetry not in ("general", "symmetric"):
         raise ParameterError(f"unsupported symmetry {symmetry!r}")
-    kept = [(r, c, v) for r, c, v in m.triples()
-            if symmetry == "general" or r >= c]
+    lower = symmetry == "symmetric"
+    row_ptr, col_ind, values = m.row_ptr, m.col_ind, m.values
+    lines = []
+    for i in range(m.n_rows):
+        a, b = row_ptr[i], row_ptr[i + 1]
+        last = i if lower else m.n_cols
+        head = f"{i + 1} "
+        lines += [f"{head}{c + 1} {v:.17g}\n"
+                  for c, v in zip(col_ind[a:b], values[a:b]) if c <= last]
     with open(os.fspath(path), "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
-        fh.write(f"{m.n_rows} {m.n_cols} {len(kept)}\n")
-        for r, c, v in kept:
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+        fh.write(f"{m.n_rows} {m.n_cols} {len(lines)}\n")
+        fh.writelines(lines)
 
 
 def detect_symmetry(m: CsrMatrix) -> str:
@@ -437,32 +443,43 @@ def _dominant(n, off) -> CsrMatrix:
     return CsrMatrix.from_triples(n, n, triples)
 
 
-def _standin_scatter(n, target, rng, band=None) -> CsrMatrix:
-    """Full diagonal plus (target - n) unique off-diagonal entries."""
+def _below(bits, n):
+    """A draw in [0, n) as ``Random._randbelow_with_getrandbits`` makes it,
+    from ``bits = rng.getrandbits``: the stream ``randrange`` consumes."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _standin_scatter(n, target, rng, band) -> CsrMatrix:
+    """Full diagonal plus (target - n) unique off-diagonal entries.
+
+    ``_below`` draws what ``randrange(n)`` and ``randint(-band, band)``
+    would, and ``-1 + 2 * random()`` is ``uniform(-1, 1)``; the same holds
+    in the two stand-ins below.
+    """
+    bits, rnd = rng.getrandbits, rng.random
     off = {}
     while len(off) < target - n:
-        i = rng.randrange(n)
-        if band is None:
-            j = rng.randrange(n)
-        else:
-            d = rng.randint(-band, band)
-            j = i + d
-            if not (0 <= j < n):
-                continue
-        if i != j and (i, j) not in off:
-            off[(i, j)] = rng.uniform(-1, 1)
+        i = _below(bits, n)
+        j = i + _below(bits, 2 * band + 1) - band
+        if 0 <= j < n and i != j and (i, j) not in off:
+            off[(i, j)] = -1 + 2 * rnd()
     return _dominant(n, off)
 
 
 def _standin_sherman3(rng) -> CsrMatrix:
     n, target = 5005, 20033
     n_pairs = (target - n) // 2
+    bits, rnd = rng.getrandbits, rng.random
     pairs = {}
     while len(pairs) < n_pairs:
-        i = rng.randrange(n - 1)
-        j = i + rng.randint(1, 50)
+        i = _below(bits, n - 1)
+        j = i + 1 + _below(bits, 50)
         if j < n and (i, j) not in pairs:
-            pairs[(i, j)] = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            pairs[(i, j)] = (-1 + 2 * rnd(), -1 + 2 * rnd())
     off = {}
     for (i, j), (v_up, v_lo) in pairs.items():
         off[(i, j)] = v_up
@@ -473,12 +490,13 @@ def _standin_sherman3(rng) -> CsrMatrix:
 def _standin_bcsstk13(rng) -> CsrMatrix:
     n, stored = 2003, 42943
     n_lower = stored - n
+    bits, rnd = rng.getrandbits, rng.random
     lower = {}
     while len(lower) < n_lower:
-        i = rng.randrange(1, n)
-        j = i - rng.randint(1, min(300, i))
+        i = 1 + _below(bits, n - 1)
+        j = i - 1 - _below(bits, min(300, i))
         if (i, j) not in lower:
-            lower[(i, j)] = rng.uniform(-1, 1)
+            lower[(i, j)] = -1 + 2 * rnd()
     off = {}
     for (i, j), v in lower.items():
         off[(i, j)] = v
@@ -515,14 +533,33 @@ def matrix_path(data_dir, name: str) -> Path:
     return Path(data_dir) / f"{name}.mtx"
 
 
+def _write_standin(data_dir, name) -> Path:
+    m, sym = gen_standin(name)
+    p = matrix_path(data_dir, name)
+    write_matrix_market(p, m, symmetry=sym)
+    return p
+
+
 def gen_all_standins(data_dir) -> list:
-    """Write every stand-in .mtx into data_dir; returns written paths."""
+    """Write every stand-in .mtx into data_dir; returns written paths.
+
+    Forked worker processes, one per usable CPU and at most five, each
+    write whole files, the largest stand-in first. Every stand-in seeds
+    its own generator, so the bytes do not depend on the worker count.
+    The paths come back in ``MATRIX_NAMES`` order, and a worker's
+    exception is raised here.
+    """
+    # imported here: cell runners import this module and never pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in MATRIX_NAMES:
-        m, sym = gen_standin(name)
-        p = matrix_path(data_dir, name)
-        write_matrix_market(p, m, symmetry=sym)
-        written.append(p)
-    return written
+    largest_first = sorted(MATRIX_NAMES,
+                           key=lambda name: -TABLE1_EXPECTED[name].entries)
+    workers = min(len(MATRIX_NAMES), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {name: pool.submit(_write_standin, data_dir, name)
+                   for name in largest_first}
+        return [futures[name].result() for name in MATRIX_NAMES]

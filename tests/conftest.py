@@ -1,5 +1,5 @@
-"""Shared test setup: the sources on the path, a small matrix directory
-and the hypothesis strategy for CSR matrices."""
+"""Shared test setup: the sources on the path, a small matrix directory,
+the hypothesis strategy for CSR matrices and other installed interpreters."""
 
 import os
 import sys
@@ -17,6 +17,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 from sparkbench.core import CsrMatrix  # noqa: E402
 from sparkbench.matio import gen_spd, matrix_path, write_matrix_market  # noqa: E402
+
+
+def other_interpreter(minor):
+    """A pyenv-managed CPython 3.<minor> that is not this interpreter."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for exe in sorted(root.glob(f"3.{minor}.*/bin/python")):
+        if exe.is_file() and exe.resolve() != Path(sys.executable).resolve():
+            return exe
+    return None
 
 
 @pytest.fixture()

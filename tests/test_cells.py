@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import csr_matrices
+from conftest import csr_matrices, other_interpreter
 from sparkbench import harness
 from sparkbench.cells import load_input, measure, read_csr, run_job
 from sparkbench.core import CsrMatrix
@@ -26,15 +26,6 @@ from sparkbench.matio import gen_spd, matrix_path, write_matrix_market
 
 FAST = TimingPolicy(warmup_runs=0, measured_runs=3, aggregator="min")
 SRC = Path(harness.__file__).resolve().parent.parent
-
-
-def _other_interpreter(minor):
-    """A pyenv-managed CPython 3.<minor> that is not this interpreter."""
-    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
-    for exe in sorted(root.glob(f"3.{minor}.*/bin/python")):
-        if exe.is_file() and exe.resolve() != Path(sys.executable).resolve():
-            return exe
-    return None
 
 
 def _loaded_after_import(module, roots=("numpy", "scipy")):
@@ -67,7 +58,7 @@ def test_runner_env_puts_the_package_first(monkeypatch):
 
 
 def test_other_interpreter_gates_without_numpy(tiny_data, tmp_path, monkeypatch):
-    exe = _other_interpreter(12)
+    exe = other_interpreter(12)
     if exe is None:
         pytest.skip("no pyenv-managed CPython 3.12 to run cells under")
     # the child finds sparkbench only through the PYTHONPATH the harness sets

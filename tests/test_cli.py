@@ -1,11 +1,14 @@
 """Command line behavior: subcommands, flags and exit codes."""
 
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from sparkbench import matio
 from sparkbench.cli import main
+from sparkbench.core import ParameterError
 from sparkbench.matio import gen_spd, matrix_path, write_matrix_market
 
 
@@ -54,6 +57,28 @@ def test_gen_extra_generators(tmp_path):
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"spd12s3.mtx", "banded10s3.mtx", "arrow8s3.mtx",
                      "mesh2x2.txt"}
+
+
+@pytest.mark.parametrize("flag", ["--spd", "--banded", "--arrow"])
+def test_gen_rejects_order_zero(flag, tmp_path, capsys):
+    code = main(["gen", "--data-dir", str(tmp_path), flag, "0"])
+    assert code == 1
+    assert "error: n must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.mtx"))
+
+
+def test_a_failing_standin_fails_gen(tmp_path, monkeypatch, capsys):
+    def gen_standin(name):
+        if name == "sherman3":
+            raise ParameterError("no sherman3 today")
+        return gen_spd(4, seed=1), "general"
+
+    monkeypatch.setattr(matio, "gen_standin", gen_standin)
+    with pytest.raises(ParameterError, match="no sherman3 today"):
+        matio.gen_all_standins(tmp_path / "lib")
+    assert main(["gen", "--data-dir", str(tmp_path / "cli")]) == 1
+    assert "error: no sherman3 today" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_inspect_prints_characteristics(tmp_path, capsys):

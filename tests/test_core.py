@@ -254,6 +254,8 @@ def test_permutation_rejects_bad_maps():
         Permutation([0, 3, 1])
     with pytest.raises(PermutationError):
         Permutation([1, 0], inverse=[0, 1])
+    with pytest.raises(PermutationError):
+        Permutation([1, 0], inverse=[1, 0, 7])
 
 
 def test_dense_helpers():

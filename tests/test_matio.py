@@ -1,12 +1,14 @@
 """Matrix Market ingestion, generators and characteristic validation."""
 
+import hashlib
 import random
+import subprocess
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_matrices, hex_csr
+from conftest import csr_matrices, hex_csr, other_interpreter
 from sparkbench.core import CsrMatrix
 from sparkbench.matio import (
     MATRIX_NAMES,
@@ -279,10 +281,42 @@ def test_standins_written_files_validate(tmp_path):
         m.validate()
 
 
-def test_standins_are_deterministic():
+# sha256 of every file ``gen`` writes by default, and of ``gen --spd 2000
+# --seed 1``: any change to a generator's stream, to a sort or to the writer
+# shows here.
+GENERATED_SHA256 = {
+    "add32.mtx": "76094d06ca717bf5e42d736a3bee7c039ffc89d3a116295f787805c8e36318bf",
+    "utm5940.mtx": "2e190e355cb348b2e508a5a9daef0808f749a2d5cdf022094fb0d11a618fe586",
+    "sherman3.mtx": "2d065661678a3a449dbe0da8b1d06baa5487e18d3f0c8f057e68a288858a439b",
+    "codecs4812.dc.mtx":
+        "036c512c44d096f667e77bf71d12a80787271c0f6b5e9acaa73f2850fcb74122",
+    "bcsstk13.mtx": "bba95ad9b22917506630c2c817979d66973bf8ec6ae4def6beed3faef31e1dea",
+    "spd2000s1.mtx": "82694212d53da3705382a9350edee0d276f618061eb2826344d5c08c4157d823",
+}
+
+
+def sha256_of(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def test_standins_are_deterministic(tmp_path):
     a, _ = gen_standin("add32")
     b, _ = gen_standin("add32")
     assert a.col_ind == b.col_ind and a.values == b.values
+    paths = gen_all_standins(tmp_path)
+    spd = matrix_path(tmp_path, "spd2000s1")
+    write_matrix_market(spd, gen_spd(2000, seed=1), symmetry="symmetric")
+    assert sha256_of([*paths, spd]) == GENERATED_SHA256
+
+
+def test_generated_bytes_are_the_same_under_python312(tmp_path):
+    exe = other_interpreter(12)
+    if exe is None:
+        pytest.skip("no pyenv-managed CPython 3.12 to generate under")
+    for extra in ([], ["--spd", "2000", "--seed", "1"]):
+        subprocess.run([exe, "-m", "sparkbench.cli", "gen", "--data-dir",
+                        tmp_path, *extra], check=True, stdout=subprocess.DEVNULL)
+    assert sha256_of(tmp_path.iterdir()) == GENERATED_SHA256
 
 
 def test_matrix_path_naming(tmp_path):
