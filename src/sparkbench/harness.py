@@ -22,7 +22,9 @@ interpreter. A grid computes them once per (benchmark, matrix), from
 one load of each matrix, before its first cell. That load is the only
 parse of the matrix: its CSR arrays, and what the references build on
 the way (DSOLVE's sparse LU factor, MPERM's ordering, ASM's mesh and
-symbolic pattern), are handed to the cells as raw arrays.
+symbolic pattern), are handed to the cells as raw arrays. DSOLVE's
+reference and factor are made by a forked helper process from the CSR
+arrays the parent wrote, while the parent prepares everything else.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -37,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,6 +70,7 @@ from .cells import (
     pcg_params,
     probe_dense,
     probe_vector,
+    read_csr,
     run_job,
     weighted_checksum,
 )
@@ -445,18 +451,41 @@ ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
 
 # --- prepared inputs ------------------------------------------------------------
 
+# The benchmark whose reference and inputs a forked helper prepares.
+_HELPED = "DSOLVE"
+
+
+def _prepare_input(name: str, op: _Operands, input_dir, matrix: str) -> dict:
+    """Benchmark ``name``'s reference on ``op``; writes every input its
+    cells read other than the matrix's CSR arrays."""
+    bench = BENCHMARKS[name]
+    ref = bench.reference(op)
+    for kind in bench.inputs:
+        if kind != "csr":
+            _INPUT_WRITERS[kind](getattr(op, kind), input_dir, matrix)
+    return ref
+
+
+def _factor_task(input_dir, matrix: str) -> dict:
+    """A helper's task: DSOLVE's reference and factor of the matrix whose
+    CSR arrays the parent wrote into ``input_dir``."""
+    return _prepare_input(_HELPED, _Operands(read_csr(input_dir, matrix)),
+                          input_dir, matrix)
+
+
 class Prepared:
-    """The parent's inputs and runners for the cells of one run; a context
-    manager.
+    """The parent's inputs, helpers and runners for the cells of one run;
+    a context manager.
 
     ``refs`` maps (benchmark, matrix) to its reference checksums, or to
     the exception preparing them raised; that cell then fails with it.
-    ``input_dir`` holds the arrays the cells read: each matrix's CSR
-    arrays and whatever else a benchmark's ``inputs`` name. It is a
-    temporary directory, removed when the ``with`` block exits, so
-    nothing outlives the run. So are the runners: ``runner`` starts one
-    per configuration when a cell first needs it, and the exit closes
-    and reaps each.
+    Until ``settle``, a DSOLVE entry may still be its helper's
+    ``Future``. ``input_dir`` holds the arrays the cells read: each
+    matrix's CSR arrays and whatever else a benchmark's ``inputs`` name.
+    It is a temporary directory, removed when the ``with`` block exits,
+    so nothing outlives the run. So are the helpers and the runners:
+    ``runner`` starts one per configuration when a cell first needs it,
+    and the exit stops the helpers and closes and reaps each runner.
     """
 
     def __init__(self):
@@ -464,16 +493,15 @@ class Prepared:
         self.input_dir = Path(self._tmp.name)
         self.refs = {}
         self._runners = {}
+        self._helpers = None
+        self._exit = ExitStack()
+        self._exit.callback(self._tmp.cleanup)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        try:
-            for runner in self._runners.values():
-                runner.close()
-        finally:
-            self._tmp.cleanup()
+        self._exit.close()
 
     def runner(self, config: BenchConfig) -> "_Runner":
         """The configuration's runner; a new one if it has none or its
@@ -485,26 +513,71 @@ class Prepared:
             if runner is not None:
                 runner.close()
             runner = self._runners[key] = _Runner(command)
+            self._exit.callback(runner.close)
         return runner
 
-    def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
-        """References of ``benchmarks`` on one loaded matrix (None for ASM),
-        and the arrays of their cells' inputs."""
-        op = _Operands(m)
-        if m is not None:
+    def write_matrices(self, benchmarks: list, loaded: dict) -> None:
+        """Write each loaded matrix's CSR arrays (``loaded`` maps names to
+        ``CsrMatrix``) and, if ``benchmarks`` has DSOLVE, hand DSOLVE's
+        reference and factor of each to forked helpers: one per usable
+        CPU but one, at most one per matrix.
+
+        The helpers fork here, before preparing anything else grows
+        this process. Their results are collected by ``reference`` or
+        ``settle``.
+        """
+        for matrix, m in loaded.items():
             _write_matrix(m, self.input_dir, matrix)
-        for name in benchmarks:
-            bench = BENCHMARKS[name]
+        if _HELPED not in benchmarks or not loaded:
+            return
+        workers = max(1, min(len(loaded), len(os.sched_getaffinity(0)) - 1))
+        self._helpers = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+        self._exit.callback(self._helpers.shutdown, cancel_futures=True)
+        for matrix in loaded:
             try:
-                self.refs[(name, matrix)] = bench.reference(op)
-                for kind in bench.inputs:
-                    if kind != "csr":
-                        _INPUT_WRITERS[kind](getattr(op, kind), self.input_dir, matrix)
+                task = self._helpers.submit(_factor_task, self.input_dir, matrix)
+            except Exception as exc:  # a helper that already died
+                task = exc
+            self.refs[(_HELPED, matrix)] = task
+
+    def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
+        """References of ``benchmarks`` on one loaded matrix (None for
+        ASM), and the arrays of their cells' inputs, made in this
+        process: all but DSOLVE's, which ``write_matrices`` hands to
+        the helpers."""
+        op = _Operands(m)
+        for name in benchmarks:
+            if name == _HELPED:
+                continue
+            try:
+                self.refs[(name, matrix)] = _prepare_input(name, op, self.input_dir,
+                                                           matrix)
             except Exception as exc:
                 self.refs[(name, matrix)] = exc
 
+    def _settled(self, key: tuple):
+        """``refs[key]``, once its helper, if it has one, is done."""
+        ref = self.refs[key]
+        if isinstance(ref, Future):
+            try:
+                ref = ref.result()
+            except Exception as exc:
+                ref = exc
+            self.refs[key] = ref
+        return ref
+
+    def settle(self) -> None:
+        """Wait for every helper's result, then stop the helpers."""
+        for key in self.refs:
+            self._settled(key)
+        if self._helpers is not None:
+            self._helpers.shutdown()
+
     def reference(self, benchmark: str, matrix: str) -> dict:
-        ref = self.refs[(benchmark, matrix)]
+        """The cell's reference checksums, waiting for its helper if it
+        has one; raises what preparing them raised."""
+        ref = self._settled((benchmark, matrix))
         if isinstance(ref, Exception):
             raise ref
         return ref
@@ -523,19 +596,31 @@ def load_matrix(data_dir, name: str) -> CsrMatrix:
 
 
 def prepare(benchmarks: list, matrices: list, data_dir) -> Prepared:
-    """Prepared inputs for every cell of a grid; each matrix is read once."""
+    """Prepared inputs for every cell of a grid; each matrix is read once.
+
+    Every matrix is loaded and written, and its DSOLVE work handed to
+    the helpers, before anything else; the helpers are done and stopped
+    when this returns, so none runs while a cell is timed.
+    """
     prep = Prepared()
-    no_matrix = [b for b in benchmarks if not BENCHMARKS[b].needs_matrix]
-    if no_matrix:
-        prep.add_matrix(no_matrix, "none", None)
-    by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
-    for mat in matrices if by_matrix else []:
-        try:
-            m = load_matrix(data_dir, mat)
-        except Exception as exc:
-            prep.refs.update({(b, mat): exc for b in by_matrix})
-            continue
-        prep.add_matrix(by_matrix, mat, m)
+    try:
+        by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
+        loaded = {}
+        for mat in matrices if by_matrix else []:
+            try:
+                loaded[mat] = load_matrix(data_dir, mat)
+            except Exception as exc:
+                prep.refs.update({(b, mat): exc for b in by_matrix})
+        prep.write_matrices(by_matrix, loaded)
+        no_matrix = [b for b in benchmarks if not BENCHMARKS[b].needs_matrix]
+        if no_matrix:
+            prep.add_matrix(no_matrix, "none", None)
+        for mat, m in loaded.items():
+            prep.add_matrix(by_matrix, mat, m)
+        prep.settle()
+    except BaseException:
+        prep.__exit__(*sys.exc_info())
+        raise
     return prep
 
 
@@ -1120,7 +1205,9 @@ def verify_matrix(data_dir, name: str) -> tuple:
     Uses the harness admission checksums (the oracle module's dense
     routines do not scale this far), through the same runner-side
     ``measure`` and parent-side comparison as a grid cell, on one read of the
-    matrix. Returns (label, ok, detail) where ok is None when the matrix
+    matrix. DSOLVE is gated last, after the other kernels have run while
+    a helper made its factor; the detail keeps ``BENCHMARK_ORDER``.
+    Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
     """
     path = matio.matrix_path(data_dir, name)
@@ -1136,23 +1223,23 @@ def verify_matrix(data_dir, name: str) -> tuple:
         rep = matio.validate_characteristics(meta, matio.TABLE1_EXPECTED[name])
         problems.extend(rep.failures)
     benches = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix]
-    gated = 0
+    failed = {}
     with Prepared() as prep:
+        prep.write_matrices(benches, {name: m})
         prep.add_matrix(benches, name, m)
-        for bname in benches:
+        for bname in sorted(benches, key=lambda b: b == _HELPED):
             try:
                 ref = prep.reference(bname, name)
                 _runs, got = measure(bname, load_input(bname, name, prep.input_dir), 0, 1)
             except Exception as exc:
-                problems.append(f"{bname}: {type(exc).__name__}: {exc}")
+                failed[bname] = f"{bname}: {type(exc).__name__}: {exc}"
                 continue
-            if _checksums_match(got, ref):
-                gated += 1
-            else:
-                problems.append(f"{bname}: checksum mismatch")
+            if not _checksums_match(got, ref):
+                failed[bname] = f"{bname}: checksum mismatch"
+    problems.extend(failed[b] for b in benches if b in failed)
     if problems:
         return label, False, "; ".join(problems)
-    return label, True, f"{gated} kernel gates"
+    return label, True, f"{len(benches)} kernel gates"
 
 
 # --- configuration files ---------------------------------------------------

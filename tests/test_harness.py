@@ -1,5 +1,8 @@
 """Harness engine: records, timing policy, gates, aggregation, report."""
 
+import dataclasses
+import multiprocessing
+import os
 import random
 import re
 import shlex
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparkbench import harness
-from sparkbench.cells import read_input
+from sparkbench.cells import INPUT_PARTS, input_path, read_input
 from sparkbench.core import CsrMatrix, ParameterError
 from sparkbench.harness import (
     BENCHMARKS,
@@ -40,10 +43,11 @@ from sparkbench.harness import (
     speedup,
     time_file_path,
     verify_fixtures,
+    verify_matrix,
     weighted_checksum,
     write_time_file,
 )
-from sparkbench.matio import gen_spd, symmetrize_lower
+from sparkbench.matio import gen_spd, matrix_path, symmetrize_lower, write_matrix_market
 from sparkbench.arr_kernels import cmck
 from sparkbench.ptr_kernels import dsolve
 
@@ -499,13 +503,43 @@ def test_a_run_starts_one_runner_per_configuration(tiny_data, tmp_path, started)
 
 def test_no_runner_outlives_prepare(tiny_data, started):
     with pytest.raises(RuntimeError, match="stop"):
-        with prepare(["TRMAT"], ["tiny"], tiny_data) as prep:
+        with prepare(["TRMAT", "DSOLVE"], ["tiny"], tiny_data) as prep:
+            # the factorization helper is done before any cell runs
+            assert multiprocessing.active_children() == []
             for config in (BenchConfig("base"), BenchConfig("opt1", "-O")):
                 harness.run_cell_subprocess("TRMAT", "tiny", config, FAST, prep)
             assert all(p.poll() is None for p in started)
             raise RuntimeError("stop")
     assert len(started) == 2
     assert all(p.poll() is not None for p in started)
+    assert multiprocessing.active_children() == []
+
+
+class Stop(BaseException):
+    """Raised past every ``except Exception`` in the harness."""
+
+
+def test_no_helper_outlives_a_prepare_that_raises(tiny_data, monkeypatch):
+    def stop(op):
+        raise Stop
+    monkeypatch.setitem(BENCHMARKS, "ASM",
+                        dataclasses.replace(BENCHMARKS["ASM"], reference=stop))
+    with pytest.raises(Stop):
+        prepare(["DSOLVE", "ASM"], ["tiny"], tiny_data)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch):
+    assert verify_matrix(tiny_data, "tiny")[1]
+    assert multiprocessing.active_children() == []
+
+    def stop(*args):
+        raise Stop
+    # the first gate stops while the helper may still be factoring
+    monkeypatch.setattr(harness, "measure", stop)
+    with pytest.raises(Stop):
+        verify_matrix(tiny_data, "tiny")
+    assert multiprocessing.active_children() == []
 
 
 def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
@@ -524,6 +558,63 @@ def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
     assert err.read_text().startswith(
         "HarnessError: runner failed for DSOLVE/tiny under base (exit status 1): "
         "FileNotFoundError: ")
+
+
+# --- the factorization helper ---------------------------------------------------
+
+def _singular(monkeypatch):
+    """Make every factorization fail; a forked helper inherits the patch."""
+    def splu(a):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(harness, "splu", splu)
+
+
+def test_a_failing_factorization_fails_only_the_dsolve_cells(tiny_data, tmp_path,
+                                                             monkeypatch):
+    _singular(monkeypatch)
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base")], ["DSOLVE", "TRMAT"], ["tiny"], FAST,
+                         tiny_data, root)
+    assert [(b, s) for _, b, _, s in outcomes] == [
+        ("DSOLVE", "failed: RuntimeError"), ("TRMAT", "ok")]
+    err = time_file_path(root, "base", "DSOLVE", "tiny").with_suffix(".err")
+    assert err.read_text().startswith("RuntimeError: Factor is exactly singular")
+
+
+def test_verify_matrix_names_a_failing_factorization(tiny_data, monkeypatch):
+    _singular(monkeypatch)
+    assert verify_matrix(tiny_data, "tiny") == (
+        "scale:tiny", False, "DSOLVE: RuntimeError: Factor is exactly singular")
+
+
+def test_a_dying_helper_fails_only_the_dsolve_cells(tiny_data, tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def splu(a):
+        assert os.getpid() != parent, "the parent factored"
+        os._exit(3)
+    monkeypatch.setattr(harness, "splu", splu)
+    write_matrix_market(matrix_path(tiny_data, "tiny2"), gen_spd(30, seed=5),
+                        symmetry="symmetric")
+    outcomes = run_suite([BenchConfig("base")], ["DSOLVE", "TRMAT", "ASM"],
+                         ["tiny", "tiny2"], FAST, tiny_data, tmp_path / "results")
+    assert [(b, m, s) for _, b, m, s in outcomes] == [
+        ("DSOLVE", "tiny", "failed: BrokenProcessPool"),
+        ("DSOLVE", "tiny2", "failed: BrokenProcessPool"),
+        ("TRMAT", "tiny", "ok"), ("TRMAT", "tiny2", "ok"), ("ASM", "none", "ok")]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_helper_writes_the_in_process_factor_and_reference(tiny_data, tmp_path):
+    op = harness._Operands(harness.load_matrix(tiny_data, "tiny"))
+    _write_factor(op.lu, tmp_path, "tiny")
+    want = {k: v.hex() for k, v in harness._ref_dsolve(op).items()}
+    with prepare(["DSOLVE"], ["tiny"], tiny_data) as prep:
+        got = {k: v.hex() for k, v in prep.reference("DSOLVE", "tiny").items()}
+        for part in INPUT_PARTS["lu"]:
+            assert (input_path(prep.input_dir, "tiny", "lu", part).read_bytes()
+                    == input_path(tmp_path, "tiny", "lu", part).read_bytes()), part
+    assert got == want
 
 
 def test_a_missing_interpreter_fails_only_its_configuration(tiny_data, tmp_path):
@@ -659,3 +750,21 @@ def test_verify_fixtures_all_pass():
     assert "spmatvec" in labels and "pcg" in labels and "asm" in labels
     # deterministic: identical output for identical seed
     assert verify_fixtures(seed=2024, count=10) == results
+
+
+def test_verify_matrix_gates_every_matrix_kernel(tiny_data):
+    assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
+
+
+def test_verify_matrix_names_a_corrupted_kernel(tiny_data, monkeypatch):
+    monkeypatch.setenv("SPARKBENCH_CORRUPT", "DSOLVE")
+    assert verify_matrix(tiny_data, "tiny") == (
+        "scale:tiny", False, "DSOLVE: checksum mismatch")
+
+
+def test_verify_matrix_reports_in_benchmark_order(tiny_data, monkeypatch):
+    # DSOLVE is gated last, yet its problem comes before PCG's
+    _singular(monkeypatch)
+    monkeypatch.setenv("SPARKBENCH_CORRUPT", "PCG")
+    assert verify_matrix(tiny_data, "tiny")[2] == (
+        "DSOLVE: RuntimeError: Factor is exactly singular; PCG: checksum mismatch")
