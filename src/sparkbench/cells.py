@@ -11,9 +11,10 @@ built for its references. Its input is a set of raw arrays the parent
 wrote into an input directory (``INPUT_PARTS`` names the arrays of each
 kind and their ``array`` typecodes; a benchmark's ``inputs`` name its
 kinds): the matrix's CSR arrays, handed to setup as a ``CsrMatrix`` of
-plain lists, DSOLVE's LU factor of the matrix, MPERM's Cuthill-McKee
-ordering of it, or ASM's mesh with its symbolic pattern. A job names
-that directory, never the matrix directory.
+plain lists, DSOLVE's LU factor of the matrix, whose rows setup reads
+from the files one at a time, MPERM's Cuthill-McKee ordering of it, or
+ASM's mesh with its symbolic pattern. A job names that directory, never
+the matrix directory.
 
 Setup runs with the cyclic garbage collector paused, and the heap it
 built is frozen while the kernel runs, so a collection during a timed
@@ -149,13 +150,10 @@ def pcg_params() -> PcgParams:
 # --- per-benchmark setup and digest -----------------------------------------
 
 def _setup_dsolve(factor):
-    row_ptr, col_ind, values = factor["row_ptr"], factor["col_ind"], factor["values"]
+    """Orthogonal storage built from the factor's rows as ``read_factor``
+    streams them, and the right-hand side."""
     n = len(factor["row_map"])
-    # build_ortho walks each row once, so lazy rows spare the cell one
-    # (col, value) tuple per factor entry held at the same time.
-    rows = [zip(col_ind[row_ptr[i]:row_ptr[i + 1]],
-                values[row_ptr[i]:row_ptr[i + 1]]) for i in range(n)]
-    return (build_ortho(n, rows, factor["row_map"], factor["col_map"]),
+    return (build_ortho(n, factor["rows"], factor["row_map"], factor["col_map"]),
             probe_vector(n, salt=RHS_SALT["DSOLVE"]))
 
 
@@ -283,14 +281,54 @@ def input_path(input_dir, matrix: str, kind: str, part: str) -> Path:
     return Path(input_dir) / f"{matrix}.{kind}.{part}"
 
 
+def _read_part(input_dir, matrix: str, kind: str, part: str) -> array:
+    arr = array(INPUT_PARTS[kind][part])
+    arr.frombytes(input_path(input_dir, matrix, kind, part).read_bytes())
+    return arr
+
+
 def read_input(input_dir, matrix: str, kind: str) -> dict:
     """The ``INPUT_PARTS[kind]`` arrays the parent wrote for ``matrix``."""
-    out = {}
-    for part, code in INPUT_PARTS[kind].items():
-        arr = array(code)
-        arr.frombytes(input_path(input_dir, matrix, kind, part).read_bytes())
-        out[part] = arr
-    return out
+    return {part: _read_part(input_dir, matrix, kind, part)
+            for part in INPUT_PARTS[kind]}
+
+
+def read_factor(input_dir, matrix: str) -> dict:
+    """DSOLVE's input: the factor's ``row_ptr``, ``row_map`` and
+    ``col_map`` read whole, and under ``rows`` an iterator over its rows
+    that reads ``col_ind`` and ``values`` from their files one row at a
+    time, so neither part is ever held whole.
+
+    A ``col_ind`` or ``values`` file that does not hold exactly
+    ``row_ptr[-1]`` entries raises ``HarnessError`` naming it.
+    """
+    factor = {part: _read_part(input_dir, matrix, "lu", part)
+              for part in ("row_ptr", "row_map", "col_map")}
+    nnz = factor["row_ptr"][-1]
+    for part in ("col_ind", "values"):
+        path = input_path(input_dir, matrix, "lu", part)
+        size, need = path.stat().st_size, nnz * array(INPUT_PARTS["lu"][part]).itemsize
+        if size != need:
+            raise HarnessError(f"factor part {path.name} has {size} bytes; "
+                               f"row_ptr's {nnz} entries need {need}")
+    factor["rows"] = _factor_rows(input_dir, matrix, factor["row_ptr"])
+    return factor
+
+
+def _factor_rows(input_dir, matrix: str, row_ptr):
+    """Each factor row as (col, value) pairs, read from the ``col_ind``
+    and ``values`` files into one buffer per part, sized to the longest
+    row. A row is valid only until the next one is drawn."""
+    width = max((b - a for a, b in zip(row_ptr, row_ptr[1:])), default=0)
+    cols = memoryview(array(INPUT_PARTS["lu"]["col_ind"], [0]) * width)
+    values = memoryview(array(INPUT_PARTS["lu"]["values"], [0]) * width)
+    with (open(input_path(input_dir, matrix, "lu", "col_ind"), "rb") as col_file,
+          open(input_path(input_dir, matrix, "lu", "values"), "rb") as value_file):
+        for a, b in zip(row_ptr, row_ptr[1:]):
+            row_cols, row_values = cols[:b - a], values[:b - a]
+            col_file.readinto(row_cols)
+            value_file.readinto(row_values)
+            yield zip(row_cols, row_values)
 
 
 def read_csr(input_dir, matrix: str) -> CsrMatrix:
@@ -303,9 +341,11 @@ def read_csr(input_dir, matrix: str) -> CsrMatrix:
 
 def load_input(benchmark: str, matrix: str, input_dir) -> tuple:
     """What the benchmark's setup takes, one value per kind of its
-    ``inputs``: the matrix as a ``CsrMatrix``, any other kind as arrays."""
+    ``inputs``: the matrix as a ``CsrMatrix``, DSOLVE's factor as
+    ``read_factor`` streams it, any other kind as arrays."""
     check_cell(benchmark, matrix)
-    return tuple(read_csr(input_dir, matrix) if kind == "csr"
+    readers = {"csr": read_csr, "lu": read_factor}
+    return tuple(readers[kind](input_dir, matrix) if kind in readers
                  else read_input(input_dir, matrix, kind)
                  for kind in BENCHMARKS[benchmark].inputs)
 

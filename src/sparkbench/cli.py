@@ -191,13 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--data-dir", default="data")
     p_gen.add_argument("--seed", type=int, default=7)
     p_gen.add_argument("--spd", type=int, metavar="N",
-                       help="also write a random SPD matrix of order N")
+                       help="write a random SPD matrix of order N instead of "
+                            "the stand-ins")
     p_gen.add_argument("--banded", type=int, metavar="N",
-                       help="also write a random banded matrix of order N")
+                       help="write a random banded matrix of order N instead of "
+                            "the stand-ins")
     p_gen.add_argument("--arrow", type=int, metavar="N",
-                       help="also write an arrowhead matrix of order N")
+                       help="write an arrowhead matrix of order N instead of "
+                            "the stand-ins")
     p_gen.add_argument("--mesh", type=int, nargs=2, metavar=("NX", "NY"),
-                       help="also write a triangular grid mesh")
+                       help="write a triangular grid mesh instead of "
+                            "the stand-ins")
     p_gen.set_defaults(func=cmd_gen)
 
     p_ins = sub.add_parser("inspect", help="print a matrix file's characteristics")

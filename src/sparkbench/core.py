@@ -284,13 +284,17 @@ def linked_to_csr(m: LinkedRowMatrix) -> CsrMatrix:
     return CsrMatrix(m.size, m.size, row_ptr, col_ind, values)
 
 
-def build_ortho(size: int, rows: list, row_map: list, col_map: list) -> OrthoLinkedMatrix:
-    """Assemble orthogonal storage from per-row (col, value) lists.
+def build_ortho(size: int, rows: Iterable, row_map: list, col_map: list) -> OrthoLinkedMatrix:
+    """Assemble orthogonal storage from rows of (col, value) pairs.
 
-    ``rows[i]`` must be sorted by column and contain the diagonal entry
-    (i, i). Elements are allocated row-major, one per entry and nothing
-    else in between, as :func:`csr_to_linked` does; column chains are
-    threaded in the same pass, so they come out sorted by row.
+    ``rows`` yields the ``size`` rows in order, each sorted by column and
+    holding the diagonal entry; it is walked once, one row at a time, so
+    it may read each row only when the build reaches it. Elements are
+    allocated row-major, one per entry, with no other node in between,
+    as :func:`csr_to_linked` does; a row that makes its column ints and
+    value floats as it is walked also allocates those between the nodes.
+    Column chains are threaded in the same pass, so they come out sorted
+    by row.
     """
     out = OrthoLinkedMatrix(size)
     out.int_to_ext_row_map = list(row_map)
@@ -298,9 +302,12 @@ def build_ortho(size: int, rows: list, row_map: list, col_map: list) -> OrthoLin
     first_in_row, first_in_col, diag = out.first_in_row, out.first_in_col, out.diag
     col_tails: list = [None] * size
     new, node = object.__new__, SparseElement
-    for i in range(size):
+    built = 0
+    for i, row in enumerate(rows):
+        if i == size:
+            raise DimensionError(f"more than {size} rows")
         prev = None
-        for c, v in rows[i]:
+        for c, v in row:
             e = new(node)
             e.value = v
             e.col = c
@@ -322,6 +329,9 @@ def build_ortho(size: int, rows: list, row_map: list, col_map: list) -> OrthoLin
                 diag[i] = e
         if diag[i] is None:
             raise SingularMatrixError(f"row {i} has no diagonal element")
+        built = i + 1
+    if built != size:
+        raise DimensionError(f"{built} rows for size {size}")
     return out
 
 

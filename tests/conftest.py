@@ -1,6 +1,8 @@
 """Shared test setup: the sources on the path, a small matrix directory,
-the hypothesis strategy for CSR matrices and other installed interpreters."""
+the hypothesis strategy for CSR matrices, other installed interpreters
+and the helpers that check a builder's node allocation order."""
 
+import gc
 import os
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ sys.path.insert(0, str(SRC))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
-from sparkbench.core import CsrMatrix  # noqa: E402
+from sparkbench.core import CsrMatrix, SparseElement  # noqa: E402
 from sparkbench.matio import gen_spd, matrix_path, write_matrix_market  # noqa: E402
 
 
@@ -59,3 +61,25 @@ def csr_matrices(draw, square=False):
 def hex_csr(m):
     """A CSR matrix as a comparable tuple whose values keep their sign and bits."""
     return (m.n_rows, m.n_cols, m.row_ptr, m.col_ind, [v.hex() for v in m.values])
+
+
+def build_with_gc_off(build, m):
+    """``build(m)`` and the SparseElements it allocated, oldest first.
+
+    Collecting the youngest generation empties it; with the GC off it
+    then lists what the build allocated, in order.
+    """
+    was = gc.isenabled()
+    gc.collect(0)
+    gc.disable()
+    try:
+        out = build(m)
+        young = gc.get_objects(generation=0)
+    finally:
+        if was:
+            gc.enable()
+    return out, [o for o in young if type(o) is SparseElement]
+
+
+def row_major(storage):
+    return [e for i in range(storage.size) for e in storage.row_elements(i)]

@@ -1,12 +1,11 @@
 """Storage schemes, conversions and their structural invariants."""
 
-import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import csr_matrices, hex_csr
+from conftest import build_with_gc_off, csr_matrices, hex_csr, row_major
 from sparkbench.core import (
     CsrMatrix,
     DimensionError,
@@ -180,35 +179,13 @@ def test_ortho_column_chains_visit_the_row_entries(m):
         assert o.diag[i] in col and o.diag[i].row == i
 
 
-def _build_with_gc_off(build, m):
-    """``build(m)`` and the SparseElements it allocated, oldest first.
-
-    Collecting the youngest generation empties it; with the GC off it
-    then lists what the build allocated, in order.
-    """
-    was = gc.isenabled()
-    gc.collect(0)
-    gc.disable()
-    try:
-        out = build(m)
-        young = gc.get_objects(generation=0)
-    finally:
-        if was:
-            gc.enable()
-    return out, [o for o in young if type(o) is SparseElement]
-
-
-def _row_major(storage):
-    return [e for i in range(storage.size) for e in storage.row_elements(i)]
-
-
 @pytest.mark.parametrize("build", [csr_to_linked, csr_to_ortho])
 @settings(max_examples=100, deadline=None)
 @given(m=csr_matrices(square=True))
 def test_builders_allocate_one_node_per_entry_row_major(build, m):
     # heap layout biases a pointer kernel, so the allocation order is a contract
-    out, allocated = _build_with_gc_off(build, m)
-    assert [id(e) for e in allocated] == [id(e) for e in _row_major(out)]
+    out, allocated = build_with_gc_off(build, m)
+    assert [id(e) for e in allocated] == [id(e) for e in row_major(out)]
 
 
 def _slots(e):
@@ -219,7 +196,7 @@ def _slots(e):
 @settings(max_examples=100, deadline=None)
 @given(m=csr_matrices(square=True))
 def test_builders_set_every_slot_of_every_node(m):
-    for e in _row_major(csr_to_linked(m)):
+    for e in row_major(csr_to_linked(m)):
         slots = _slots(e)
         assert slots["row"] is None and slots["next_in_col"] is None
     o = csr_to_ortho(m)
@@ -238,6 +215,13 @@ def test_build_ortho_custom_maps():
 def test_build_ortho_requires_diagonal():
     with pytest.raises(SingularMatrixError):
         build_ortho(2, [[(1, 5.0)], [(1, 1.0)]], [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("rows", [[[(0, 1.0)]],
+                                  [[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]]])
+def test_build_ortho_takes_exactly_size_rows(rows):
+    with pytest.raises(DimensionError, match="rows"):
+        build_ortho(2, iter(rows), [0, 1], [0, 1])
 
 
 def test_permutation_builds_inverse():

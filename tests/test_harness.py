@@ -1,19 +1,26 @@
 """Harness engine: records, timing policy, gates, aggregation, report."""
 
 import dataclasses
+import gc
+import itertools
 import multiprocessing
 import os
 import random
 import re
 import shlex
 import subprocess
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparkbench import harness
-from sparkbench.cells import INPUT_PARTS, input_path, read_input
-from sparkbench.core import CsrMatrix, ParameterError
+from conftest import FLOATS, build_with_gc_off, row_major
+from sparkbench import harness, matio
+from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
+from sparkbench.core import CsrMatrix, ParameterError, build_ortho
 from sparkbench.harness import (
     BENCHMARKS,
     BENCHMARK_ORDER,
@@ -221,7 +228,7 @@ def test_splu_merge_solves(tmp_path):
     m = gen_spd(60, seed=31)
     lu_obj = splu(_scipy_csr(m).tocsc())
     _write_factor(lu_obj, tmp_path, "m")
-    ortho = BENCHMARKS["DSOLVE"].setup(read_input(tmp_path, "m", "lu"))[0]
+    ortho = BENCHMARKS["DSOLVE"].setup(*load_input("DSOLVE", "m", tmp_path))[0]
     rhs = probe_vector(60)
     x = dsolve(ortho, rhs)
     want = lu_obj.solve(np.asarray(rhs))
@@ -255,6 +262,82 @@ def test_factor_keeps_diagonals_and_drops_zeros(tmp_path):
     lu_obj.U = singular
     with pytest.raises(HarnessError, match="factor row 1 lost its diagonal"):
         _write_factor(lu_obj, tmp_path, "g")
+
+
+@st.composite
+def factors(draw):
+    """A merged factor's ``lu`` parts: sorted rows that each hold their
+    diagonal, and two permutation maps."""
+    n = draw(st.integers(1, 12))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) | {i})
+            for i in range(n)]
+    col_ind = [c for row in rows for c in row]
+    return {"row_ptr": [0, *itertools.accumulate(map(len, rows))],
+            "col_ind": col_ind,
+            "values": draw(st.lists(FLOATS, min_size=len(col_ind),
+                                    max_size=len(col_ind))),
+            "row_map": draw(st.permutations(range(n))),
+            "col_map": draw(st.permutations(range(n)))}
+
+
+def _ortho_state(o):
+    """Row chains (column, value bits, is the diagonal link), column
+    chains as rows, and both maps."""
+    return ([[(e.col, e.value.hex(), e is o.diag[i]) for e in o.row_elements(i)]
+             for i in range(o.size)],
+            [[e.row for e in o.col_elements(j)] for j in range(o.size)],
+            o.int_to_ext_row_map, o.int_to_ext_col_map)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=factors())
+def test_dsolve_setup_streams_the_factor_into_row_major_nodes(f):
+    # the path a cell runs: the lu parts on disk, load_input, then setup
+    with tempfile.TemporaryDirectory() as d:
+        harness._write_input(d, "m", "lu", f)
+        out, allocated = build_with_gc_off(
+            lambda d: BENCHMARKS["DSOLVE"].setup(*load_input("DSOLVE", "m", d))[0], d)
+    assert [id(e) for e in allocated] == [id(e) for e in row_major(out)]
+    ptr = f["row_ptr"]
+    rows = [list(zip(f["col_ind"][a:b], f["values"][a:b]))
+            for a, b in zip(ptr, ptr[1:])]
+    want = build_ortho(len(rows), rows, f["row_map"], f["col_map"])
+    assert _ortho_state(out) == _ortho_state(want)
+
+
+def test_dsolve_setup_peaks_near_the_storage_it_keeps(tmp_path):
+    # the factor's col_ind and values are streamed, never held whole
+    m, _ = matio.gen_standin("sherman3")
+    _write_factor(harness._Operands(m).lu, tmp_path, "sherman3")
+    was = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        args = BENCHMARKS["DSOLVE"].setup(*load_input("DSOLVE", "sherman3", tmp_path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was:
+            gc.enable()
+    assert args[0].size == m.n_rows
+    assert peak <= 1.05 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("part", ["col_ind", "values"])
+def test_a_short_factor_part_fails_the_dsolve_cell(tiny_data, tmp_path, monkeypatch,
+                                                   part):
+    def write_short(lu_obj, input_dir, matrix):
+        _write_factor(lu_obj, input_dir, matrix)
+        path = input_path(input_dir, matrix, "lu", part)
+        path.write_bytes(path.read_bytes()[:-8])
+
+    monkeypatch.setitem(harness._INPUT_WRITERS, "lu", write_short)
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base")], ["DSOLVE"], ["tiny"], FAST,
+                         tiny_data, root)
+    assert [s for *_, s in outcomes] == ["failed: HarnessError"]
+    err = time_file_path(root, "base", "DSOLVE", "tiny").with_suffix(".err")
+    assert f"cells.HarnessError: factor part tiny.lu.{part} has" in err.read_text()
 
 
 def test_reference_cm_agrees_with_kernel():
