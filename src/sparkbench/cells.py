@@ -399,9 +399,10 @@ def run_job(job: dict) -> dict:
     """Run the cell a job describes; returns what it measured, not gated.
 
     A job is {benchmark, matrix, input_dir, warmup_runs, measured_runs}:
-    ``input_dir`` holds the arrays the parent wrote (see ``INPUT_PARTS``)
-    and the run counts are a ``TimingPolicy``'s. The payload is {runs,
-    checksums}; the parent aggregates the runs and gates the checksums.
+    ``input_dir`` holds the arrays the parent wrote (see ``INPUT_PARTS``).
+    A grid cell's run counts are its ``TimingPolicy``'s; ``verify``'s
+    gate runs once, with no warmup. The payload is {runs, checksums};
+    the parent aggregates the runs and gates the checksums.
     """
     cell_input = load_input(job["benchmark"], job["matrix"], job["input_dir"])
     runs, got = measure(job["benchmark"], cell_input, job["warmup_runs"],

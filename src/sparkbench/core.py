@@ -294,7 +294,8 @@ def build_ortho(size: int, rows: Iterable, row_map: list, col_map: list) -> Orth
     as :func:`csr_to_linked` does; a row that makes its column ints and
     value floats as it is walked also allocates those between the nodes.
     Column chains are threaded in the same pass, so they come out sorted
-    by row.
+    by row. A node's links are set only by its successor, or, at the end
+    of its row or of the build, to ``None``.
     """
     out = OrthoLinkedMatrix(size)
     out.int_to_ext_row_map = list(row_map)
@@ -312,8 +313,6 @@ def build_ortho(size: int, rows: Iterable, row_map: list, col_map: list) -> Orth
             e.value = v
             e.col = c
             e.row = i
-            e.next_in_row = None
-            e.next_in_col = None
             if prev is None:
                 first_in_row[i] = e
             else:
@@ -329,9 +328,12 @@ def build_ortho(size: int, rows: Iterable, row_map: list, col_map: list) -> Orth
                 diag[i] = e
         if diag[i] is None:
             raise SingularMatrixError(f"row {i} has no diagonal element")
+        prev.next_in_row = None
         built = i + 1
     if built != size:
         raise DimensionError(f"{built} rows for size {size}")
+    for tail in col_tails:  # every column holds its diagonal
+        tail.next_in_col = None
     return out
 
 

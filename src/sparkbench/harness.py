@@ -25,6 +25,9 @@ the way (DSOLVE's sparse LU factor, MPERM's ordering, ASM's mesh and
 symbolic pattern), are handed to the cells as raw arrays. DSOLVE's
 reference and factor are made by a forked helper process from the CSR
 arrays the parent wrote, while the parent prepares everything else.
+``verify_matrix`` gates DSOLVE in a child of a ``base`` runner, as a
+grid cell, and the other kernels in process, so the parent never builds
+DSOLVE's storage of a node per factor entry.
 """
 
 from __future__ import annotations
@@ -582,12 +585,12 @@ class Prepared:
             raise ref
         return ref
 
-    def job(self, benchmark: str, matrix: str, policy: TimingPolicy) -> dict:
+    def job(self, benchmark: str, matrix: str, warmup_runs: int,
+            measured_runs: int) -> dict:
         """The runner's job for one cell."""
         return {"benchmark": benchmark, "matrix": matrix,
                 "input_dir": os.fspath(self.input_dir),
-                "warmup_runs": policy.warmup_runs,
-                "measured_runs": policy.measured_runs}
+                "warmup_runs": warmup_runs, "measured_runs": measured_runs}
 
 
 def load_matrix(data_dir, name: str) -> CsrMatrix:
@@ -636,8 +639,8 @@ def execute_cell(benchmark: str, matrix: str, data_dir, policy: TimingPolicy) ->
     check_cell(benchmark, matrix)
     with prepare([benchmark], [matrix], data_dir) as prep:
         ref = prep.reference(benchmark, matrix)
-        return _admit(benchmark, matrix, policy,
-                      run_job(prep.job(benchmark, matrix, policy)), ref)
+        job = prep.job(benchmark, matrix, policy.warmup_runs, policy.measured_runs)
+        return _admit(benchmark, matrix, policy, run_job(job), ref)
 
 
 def _runner_command(config: BenchConfig) -> list:
@@ -673,18 +676,31 @@ class _Runner:
     def alive(self) -> bool:
         return self._proc.poll() is None
 
-    def run(self, job: dict) -> tuple:
-        """(exit status, stdout, stderr) of the child that ran ``job``; or,
-        when the runner died or answered with anything but a reply, its
-        own exit status and stderr, with no stdout."""
+    def send(self, job: dict) -> None:
+        """Hand ``job`` to the runner without waiting for its child;
+        ``reply`` waits. A runner that cannot take the job is found dead
+        by ``reply``."""
         try:
             self._proc.stdin.write(json.dumps(job) + "\n")
             self._proc.stdin.flush()
+        except OSError:
+            pass
+
+    def reply(self) -> tuple:
+        """(exit status, stdout, stderr) of the child that ran the job sent
+        last; or, when the runner died or answered with anything but a
+        reply, its own exit status and stderr, with no stdout."""
+        try:
             reply = json.loads(self._proc.stdout.readline())
             return reply["status"], reply["stdout"], reply["stderr"]
         except (OSError, ValueError, TypeError, KeyError):
             status, stderr = self.close()
             return status, "", stderr
+
+    def run(self, job: dict) -> tuple:
+        """``send`` then ``reply``."""
+        self.send(job)
+        return self.reply()
 
     def close(self) -> tuple:
         """Close the runner's stdin and reap it; returns (exit status,
@@ -697,22 +713,16 @@ class _Runner:
         return self._proc.returncode, self._stderr
 
 
-def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
-                        policy: TimingPolicy, prep: Prepared) -> dict:
-    """Run one cell in a child of the configuration's runner; returns its
-    record.
+def _payload(benchmark: str, matrix: str, config: BenchConfig, reply: tuple) -> dict:
+    """The payload in a runner's (exit status, stdout, stderr) reply.
 
-    ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
-    it holds the runner, the cell reads its arrays and is gated against
-    its reference. The record is ``_admit``'s plus the configuration id.
     A nonzero exit of the child, or of a runner that died, raises
-    ``HarnessError``: its first line names the cell, the exit status and
-    the last line of the cell's stderr, and the stderr tail (at most 500
-    characters) follows. So does a zero exit whose stdout is no JSON
-    object, marked "no payload".
+    ``HarnessError``: its first line names the cell, the configuration,
+    the exit status and the last line of the cell's stderr, and the
+    stderr tail (at most 500 characters) follows. So does a zero exit
+    whose stdout is no JSON object, marked "no payload".
     """
-    ref = prep.reference(benchmark, matrix)
-    status, stdout, stderr = prep.runner(config).run(prep.job(benchmark, matrix, policy))
+    status, stdout, stderr = reply
     try:
         payload = json.loads(stdout) if status == 0 else None
     except json.JSONDecodeError:
@@ -723,6 +733,22 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
         status = f"exit status {status}" if status else "no payload"
         raise HarnessError(f"runner failed for {benchmark}/{matrix} under "
                            f"{config.id} ({status}): {last}\n{tail}")
+    return payload
+
+
+def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
+                        policy: TimingPolicy, prep: Prepared) -> dict:
+    """Run one cell in a child of the configuration's runner; returns its
+    record.
+
+    ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
+    it holds the runner, the cell reads its arrays and is gated against
+    its reference. The record is ``_admit``'s plus the configuration id.
+    A child or runner that fails raises ``_payload``'s ``HarnessError``.
+    """
+    ref = prep.reference(benchmark, matrix)
+    job = prep.job(benchmark, matrix, policy.warmup_runs, policy.measured_runs)
+    payload = _payload(benchmark, matrix, config, prep.runner(config).run(job))
     return {**_admit(benchmark, matrix, policy, payload, ref), "config": config.id}
 
 
@@ -1203,10 +1229,14 @@ def verify_matrix(data_dir, name: str) -> tuple:
     """Gate every matrix-driven kernel once on a full-size input.
 
     Uses the harness admission checksums (the oracle module's dense
-    routines do not scale this far), through the same runner-side
-    ``measure`` and parent-side comparison as a grid cell, on one read of the
-    matrix. DSOLVE is gated last, after the other kernels have run while
-    a helper made its factor; the detail keeps ``BENCHMARK_ORDER``.
+    routines do not scale this far) and the parent-side comparison of a
+    grid cell, on one read of the matrix; each kernel runs once, with no
+    warmup. DSOLVE runs as a grid cell does, in a child of the ``base``
+    configuration's runner, so this process never builds its storage of
+    a node per factor entry. Its job goes out as soon as the helper has
+    made the factor, and the other kernels run here, through ``measure``,
+    while that child runs. The detail keeps ``BENCHMARK_ORDER``, one line
+    per failing kernel.
     Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
     """
@@ -1223,19 +1253,38 @@ def verify_matrix(data_dir, name: str) -> tuple:
         rep = matio.validate_characteristics(meta, matio.TABLE1_EXPECTED[name])
         problems.extend(rep.failures)
     benches = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix]
-    failed = {}
+    base = DEFAULT_CONFIGS[0]
+    failed, gated = {}, {}  # gated: benchmark -> (reference, checksums)
+
+    def fail(bname, exc):
+        failed[bname] = f"{bname}: {type(exc).__name__}: {exc}".splitlines()[0]
+
     with Prepared() as prep:
         prep.write_matrices(benches, {name: m})
+        runner = prep.runner(base)  # imports while the helper factors
         prep.add_matrix(benches, name, m)
-        for bname in sorted(benches, key=lambda b: b == _HELPED):
+        try:
+            dsolve_ref = prep.reference(_HELPED, name)
+            runner.send(prep.job(_HELPED, name, 0, 1))
+        except Exception as exc:
+            fail(_HELPED, exc)
+        for bname in benches:
+            if bname == _HELPED:
+                continue
             try:
                 ref = prep.reference(bname, name)
                 _runs, got = measure(bname, load_input(bname, name, prep.input_dir), 0, 1)
+                gated[bname] = ref, got
             except Exception as exc:
-                failed[bname] = f"{bname}: {type(exc).__name__}: {exc}"
-                continue
-            if not _checksums_match(got, ref):
-                failed[bname] = f"{bname}: checksum mismatch"
+                fail(bname, exc)
+        if _HELPED not in failed:
+            try:
+                payload = _payload(_HELPED, name, base, runner.reply())
+                gated[_HELPED] = dsolve_ref, payload["checksums"]
+            except Exception as exc:
+                fail(_HELPED, exc)
+    failed.update({b: f"{b}: checksum mismatch" for b, (ref, got) in gated.items()
+                   if not _checksums_match(got, ref)})
     problems.extend(failed[b] for b in benches if b in failed)
     if problems:
         return label, False, "; ".join(problems)

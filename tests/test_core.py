@@ -205,6 +205,27 @@ def test_builders_set_every_slot_of_every_node(m):
         assert o.diag[i].col == i
 
 
+def _chain(first, link):
+    """The nodes from ``first`` along ``link`` to the ``None`` that ends
+    the chain, reading every slot of each."""
+    out = []
+    while first is not None:
+        out.append(first)
+        first = _slots(first)[link]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True))
+def test_ortho_chains_end_in_none_and_hold_the_csr_entries(m):
+    # build_ortho writes a chain's None only once its row or the build ends
+    o = csr_to_ortho(m)
+    want = sorted((i, j, v.hex()) for i, j, v in ortho_to_csr(o).triples())
+    for first, link in ((o.first_in_row, "next_in_row"), (o.first_in_col, "next_in_col")):
+        nodes = [e for head in first for e in _chain(head, link)]
+        assert sorted((e.row, e.col, e.value.hex()) for e in nodes) == want
+
+
 def test_build_ortho_custom_maps():
     rows = [[(0, 2.0), (1, 1.0)], [(1, 3.0)]]
     o = build_ortho(2, rows, [1, 0], [0, 1])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FLOATS, build_with_gc_off, row_major
-from sparkbench import harness, matio
+from sparkbench import cells, harness, matio
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
 from sparkbench.core import CsrMatrix, ParameterError, build_ortho
 from sparkbench.harness import (
@@ -323,15 +323,19 @@ def test_dsolve_setup_peaks_near_the_storage_it_keeps(tmp_path):
     assert peak <= 1.05 * kept, (peak, kept)
 
 
-@pytest.mark.parametrize("part", ["col_ind", "values"])
-def test_a_short_factor_part_fails_the_dsolve_cell(tiny_data, tmp_path, monkeypatch,
-                                                   part):
+def _short_factor(monkeypatch, part):
+    """Make the helper write the factor without ``part``'s last entry."""
     def write_short(lu_obj, input_dir, matrix):
         _write_factor(lu_obj, input_dir, matrix)
         path = input_path(input_dir, matrix, "lu", part)
         path.write_bytes(path.read_bytes()[:-8])
-
     monkeypatch.setitem(harness._INPUT_WRITERS, "lu", write_short)
+
+
+@pytest.mark.parametrize("part", ["col_ind", "values"])
+def test_a_short_factor_part_fails_the_dsolve_cell(tiny_data, tmp_path, monkeypatch,
+                                                   part):
+    _short_factor(monkeypatch, part)
     root = tmp_path / "results"
     outcomes = run_suite([BenchConfig("base")], ["DSOLVE"], ["tiny"], FAST,
                          tiny_data, root)
@@ -612,17 +616,44 @@ def test_no_helper_outlives_a_prepare_that_raises(tiny_data, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch):
+def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch, started):
     assert verify_matrix(tiny_data, "tiny")[1]
     assert multiprocessing.active_children() == []
+    # DSOLVE's gate ran in a child of one base runner, reaped on return
+    assert [p.args for p in started] == [harness._runner_command(BenchConfig("base"))]
+    assert started[0].poll() is not None
 
     def stop(*args):
         raise Stop
-    # the first gate stops while the helper may still be factoring
+    # an in-process gate stops while DSOLVE's child may still be running
     monkeypatch.setattr(harness, "measure", stop)
     with pytest.raises(Stop):
         verify_matrix(tiny_data, "tiny")
     assert multiprocessing.active_children() == []
+    assert len(started) == 2
+    assert started[1].poll() is not None
+
+
+def test_verify_matrix_never_builds_dsolves_storage_in_this_process(tiny_data,
+                                                                   monkeypatch):
+    # the runner's child is a fresh interpreter: the patch reaches only
+    # this process and the helper it forks
+    def build_ortho(*args):
+        raise AssertionError("DSOLVE's storage built in the parent")
+    monkeypatch.setattr(cells, "build_ortho", build_ortho)
+    assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
+
+
+def test_verify_matrix_gives_one_line_for_a_failing_dsolve_child(tiny_data,
+                                                                monkeypatch):
+    _short_factor(monkeypatch, "values")
+    label, ok, detail = verify_matrix(tiny_data, "tiny")
+    assert (label, ok) == ("scale:tiny", False)
+    assert detail.startswith(
+        "DSOLVE: HarnessError: runner failed for DSOLVE/tiny under base "
+        "(exit status 1): sparkbench.cells.HarnessError: factor part "
+        "tiny.lu.values has"), detail
+    assert "\n" not in detail
 
 
 def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
@@ -634,7 +665,7 @@ def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
                             prep) == "failed: HarnessError"
         assert _record_cell(root, "TRMAT", "tiny", base, FAST, prep) == "ok"
         # a cell's stderr is its own child's: one traceback
-        status, stdout, stderr = prep.runner(base).run(prep.job("DSOLVE", "tiny", FAST))
+        status, stdout, stderr = prep.runner(base).run(prep.job("DSOLVE", "tiny", 0, 3))
         assert (status, stdout, stderr.count("Traceback")) == (1, "", 1)
     assert len(started) == 1
     err = time_file_path(root, "base", "DSOLVE", "tiny").with_suffix(".err")
