@@ -3,10 +3,10 @@
 Runs benchmark x matrix x configuration grids. Every cell executes in a
 fresh process under the configuration's interpreter and flag set: a
 child that the configuration's runner (``_runner``, one per
-configuration and run, held by ``Prepared``) forks for it. The child
-runs the runner side in ``cells``: it performs its setup untimed, times
-only the kernel invocation under the given policy and returns the run
-times and a checksum of the kernel's result. The parent
+configuration id and run, started and held by ``Prepared``) forks for
+it. The child runs the runner side in ``cells``: it performs its setup
+untimed, times only the kernel invocation under the given policy and
+returns the run times and a checksum of the kernel's result. The parent
 admits the cell only if that checksum matches an independently computed
 reference, and only then builds the cell's record and its seconds.
 Cell results land in ``results/<config>/<benchmark>__<matrix>.time``;
@@ -22,12 +22,14 @@ interpreter. A grid computes them once per (benchmark, matrix), from
 one load of each matrix, before its first cell. That load is the only
 parse of the matrix: its CSR arrays, and what the references build on
 the way (DSOLVE's sparse LU factor, MPERM's ordering, ASM's mesh and
-symbolic pattern), are handed to the cells as raw arrays. DSOLVE's
-reference and factor are made by a forked helper process from the CSR
-arrays the parent wrote, while the parent prepares everything else.
-``verify_matrix`` gates DSOLVE in a child of a ``base`` runner, as a
-grid cell, and the other kernels in process, so the parent never builds
-DSOLVE's storage of a node per factor entry.
+symbolic pattern), are handed to the cells as raw arrays. ``Prepared``
+is the one way to make them: DSOLVE's reference and factor come from a
+forked helper process that reads the CSR arrays the parent wrote, and
+the runners start and import while the parent prepares everything
+else. ``verify_matrix`` prepares through it too, then gates DSOLVE in a
+child of a ``base`` runner, as a grid cell, and the other kernels in
+process, so the parent never builds DSOLVE's storage of a node per
+factor entry.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,9 +69,7 @@ from .cells import (
     TimingPolicy,
     check_cell,
     input_path,
-    load_input,
     matrix_file,
-    measure,
     pcg_params,
     probe_dense,
     probe_vector,
@@ -170,16 +170,16 @@ def _np_checksum(arr) -> float:
     return float(np.dot(w, arr))
 
 
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
 def _checksums_match(got: dict, want: dict) -> bool:
-    if set(got) != set(want):
-        return False
-    for key, a in got.items():
-        b = want[key]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return False
-        if abs(a - b) > _GATE_RTOL * max(1.0, abs(a), abs(b)):
-            return False
-    return True
+    """Same keys, every value finite and each within ``_GATE_RTOL`` of its
+    reference."""
+    return set(got) == set(want) and all(
+        math.isfinite(a) and math.isfinite(want[k]) and _close(a, want[k], _GATE_RTOL)
+        for k, a in got.items())
 
 
 def _admit(benchmark: str, matrix: str, policy: TimingPolicy, payload: dict,
@@ -476,29 +476,78 @@ def _factor_task(input_dir, matrix: str) -> dict:
                           input_dir, matrix)
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 class Prepared:
     """The parent's inputs, helpers and runners for the cells of one run;
     a context manager.
 
+    ``loaded`` maps each matrix name to its ``CsrMatrix``, or to the
+    exception loading it raised. The constructor writes each matrix's
+    CSR arrays and, if ``benchmarks`` has DSOLVE, forks helpers that make
+    DSOLVE's reference and factor of each matrix (one per usable CPU but
+    one, at most one per matrix) before anything else grows this
+    process. It then starts one runner per entry of ``configs``, so each
+    imports while this process makes every other reference and input.
+    Last, it waits for the helpers and stops them, so none runs while a
+    cell is timed.
+
     ``refs`` maps (benchmark, matrix) to its reference checksums, or to
     the exception preparing them raised; that cell then fails with it.
-    Until ``settle``, a DSOLVE entry may still be its helper's
-    ``Future``. ``input_dir`` holds the arrays the cells read: each
-    matrix's CSR arrays and whatever else a benchmark's ``inputs`` name.
-    It is a temporary directory, removed when the ``with`` block exits,
-    so nothing outlives the run. So are the helpers and the runners:
-    ``runner`` starts one per configuration when a cell first needs it,
-    and the exit stops the helpers and closes and reaps each runner.
+    ``input_dir`` holds the arrays the cells read: each matrix's CSR
+    arrays and whatever else a benchmark's ``inputs`` name. It is a
+    temporary directory, removed when the ``with`` block exits or the
+    constructor raises, so nothing outlives the run. Nor do the runners:
+    the exit closes and reaps each one.
     """
 
-    def __init__(self):
-        self._tmp = tempfile.TemporaryDirectory(prefix="sparkbench-")
-        self.input_dir = Path(self._tmp.name)
+    def __init__(self, benchmarks: list, loaded: dict, configs=()):
         self.refs = {}
         self._runners = {}
-        self._helpers = None
-        self._exit = ExitStack()
-        self._exit.callback(self._tmp.cleanup)
+        # If preparing raises, this unwinds it; else pop_all keeps it for __exit__.
+        with ExitStack() as self._exit:
+            self.input_dir = Path(self._exit.enter_context(
+                tempfile.TemporaryDirectory(prefix="sparkbench-")))
+            by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
+            ops = {}
+            for matrix, m in loaded.items():
+                if isinstance(m, Exception):
+                    self.refs.update({(b, matrix): m for b in by_matrix})
+                else:
+                    _write_matrix(m, self.input_dir, matrix)
+                    ops[matrix] = _Operands(m)
+            helpers, tasks = None, {}
+            if _HELPED in by_matrix and ops:
+                workers = max(1, min(len(ops), len(os.sched_getaffinity(0)) - 1))
+                helpers = ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"))
+                self._exit.callback(helpers.shutdown, cancel_futures=True)
+                tasks = {matrix: _outcome(helpers.submit, _factor_task,
+                                          self.input_dir, matrix) for matrix in ops}
+            for config in configs:
+                try:
+                    self.runner(config)
+                except OSError:  # its cells fail when they start it again
+                    pass
+            none = _Operands(None)
+            in_process = [(b, "none", none) for b in benchmarks if b not in by_matrix]
+            in_process += [(b, matrix, op) for matrix, op in ops.items()
+                           for b in by_matrix if b != _HELPED]
+            for name, matrix, op in in_process:
+                self.refs[(name, matrix)] = _outcome(_prepare_input, name, op,
+                                                     self.input_dir, matrix)
+            for matrix, task in tasks.items():
+                self.refs[(_HELPED, matrix)] = (
+                    task if isinstance(task, Exception) else _outcome(task.result))
+            if helpers is not None:
+                helpers.shutdown()
+            self._exit = self._exit.pop_all()
 
     def __enter__(self):
         return self
@@ -509,78 +558,18 @@ class Prepared:
     def runner(self, config: BenchConfig) -> "_Runner":
         """The configuration's runner; a new one if it has none or its
         last one died."""
-        command = _runner_command(config)
-        key = tuple(command)
-        runner = self._runners.get(key)
+        runner = self._runners.get(config.id)
         if runner is None or not runner.alive():
             if runner is not None:
                 runner.close()
-            runner = self._runners[key] = _Runner(command)
+            runner = self._runners[config.id] = _Runner(_runner_command(config))
             self._exit.callback(runner.close)
         return runner
 
-    def write_matrices(self, benchmarks: list, loaded: dict) -> None:
-        """Write each loaded matrix's CSR arrays (``loaded`` maps names to
-        ``CsrMatrix``) and, if ``benchmarks`` has DSOLVE, hand DSOLVE's
-        reference and factor of each to forked helpers: one per usable
-        CPU but one, at most one per matrix.
-
-        The helpers fork here, before preparing anything else grows
-        this process. Their results are collected by ``reference`` or
-        ``settle``.
-        """
-        for matrix, m in loaded.items():
-            _write_matrix(m, self.input_dir, matrix)
-        if _HELPED not in benchmarks or not loaded:
-            return
-        workers = max(1, min(len(loaded), len(os.sched_getaffinity(0)) - 1))
-        self._helpers = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"))
-        self._exit.callback(self._helpers.shutdown, cancel_futures=True)
-        for matrix in loaded:
-            try:
-                task = self._helpers.submit(_factor_task, self.input_dir, matrix)
-            except Exception as exc:  # a helper that already died
-                task = exc
-            self.refs[(_HELPED, matrix)] = task
-
-    def add_matrix(self, benchmarks: list, matrix: str, m) -> None:
-        """References of ``benchmarks`` on one loaded matrix (None for
-        ASM), and the arrays of their cells' inputs, made in this
-        process: all but DSOLVE's, which ``write_matrices`` hands to
-        the helpers."""
-        op = _Operands(m)
-        for name in benchmarks:
-            if name == _HELPED:
-                continue
-            try:
-                self.refs[(name, matrix)] = _prepare_input(name, op, self.input_dir,
-                                                           matrix)
-            except Exception as exc:
-                self.refs[(name, matrix)] = exc
-
-    def _settled(self, key: tuple):
-        """``refs[key]``, once its helper, if it has one, is done."""
-        ref = self.refs[key]
-        if isinstance(ref, Future):
-            try:
-                ref = ref.result()
-            except Exception as exc:
-                ref = exc
-            self.refs[key] = ref
-        return ref
-
-    def settle(self) -> None:
-        """Wait for every helper's result, then stop the helpers."""
-        for key in self.refs:
-            self._settled(key)
-        if self._helpers is not None:
-            self._helpers.shutdown()
-
     def reference(self, benchmark: str, matrix: str) -> dict:
-        """The cell's reference checksums, waiting for its helper if it
-        has one; raises what preparing them raised."""
-        ref = self._settled((benchmark, matrix))
+        """The cell's reference checksums; raises what preparing them
+        raised."""
+        ref = self.refs[(benchmark, matrix)]
         if isinstance(ref, Exception):
             raise ref
         return ref
@@ -598,33 +587,13 @@ def load_matrix(data_dir, name: str) -> CsrMatrix:
     return m
 
 
-def prepare(benchmarks: list, matrices: list, data_dir) -> Prepared:
-    """Prepared inputs for every cell of a grid; each matrix is read once.
-
-    Every matrix is loaded and written, and its DSOLVE work handed to
-    the helpers, before anything else; the helpers are done and stopped
-    when this returns, so none runs while a cell is timed.
-    """
-    prep = Prepared()
-    try:
-        by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
-        loaded = {}
-        for mat in matrices if by_matrix else []:
-            try:
-                loaded[mat] = load_matrix(data_dir, mat)
-            except Exception as exc:
-                prep.refs.update({(b, mat): exc for b in by_matrix})
-        prep.write_matrices(by_matrix, loaded)
-        no_matrix = [b for b in benchmarks if not BENCHMARKS[b].needs_matrix]
-        if no_matrix:
-            prep.add_matrix(no_matrix, "none", None)
-        for mat, m in loaded.items():
-            prep.add_matrix(by_matrix, mat, m)
-        prep.settle()
-    except BaseException:
-        prep.__exit__(*sys.exc_info())
-        raise
-    return prep
+def prepare(benchmarks: list, matrices: list, data_dir, configs=()) -> Prepared:
+    """``Prepared`` inputs for every cell of a grid, and a runner per
+    configuration; each matrix is read once, and only if a benchmark
+    needs it."""
+    needed = any(BENCHMARKS[b].needs_matrix for b in benchmarks)
+    loaded = {mat: _outcome(load_matrix, data_dir, mat) for mat in matrices if needed}
+    return Prepared(benchmarks, loaded, configs)
 
 
 # --- cells ----------------------------------------------------------------------
@@ -823,7 +792,7 @@ def run_suite(configs: list, benchmarks: list, matrices: list,
         _check_name("matrix name", name)
 
     outcomes = []
-    with prepare(benchmarks, matrices, data_dir) as prep:
+    with prepare(benchmarks, matrices, data_dir, configs) as prep:
         for config in configs:
             (results_root / config.id).mkdir(parents=True, exist_ok=True)
             for name in benchmarks:
@@ -1058,10 +1027,6 @@ def report(spark_dat, out_dir) -> tuple:
 
 # --- verification driver ----------------------------------------------------
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def _vec_close(got, want, tol: float) -> bool:
     return len(got) == len(want) and all(
         _close(a, b, tol) for a, b in zip(got, want))
@@ -1231,12 +1196,14 @@ def verify_matrix(data_dir, name: str) -> tuple:
     Uses the harness admission checksums (the oracle module's dense
     routines do not scale this far) and the parent-side comparison of a
     grid cell, on one read of the matrix; each kernel runs once, with no
-    warmup. DSOLVE runs as a grid cell does, in a child of the ``base``
-    configuration's runner, so this process never builds its storage of
-    a node per factor entry. Its job goes out as soon as the helper has
-    made the factor, and the other kernels run here, through ``measure``,
-    while that child runs. The detail keeps ``BENCHMARK_ORDER``, one line
-    per failing kernel.
+    warmup. The inputs come from ``Prepared``, with one runner, for the
+    ``base`` configuration, that imports while the references are made.
+    DSOLVE runs as a grid cell does, in a child of that runner, so this
+    process never builds its storage of a node per factor entry. Its job
+    goes out once ``Prepared`` has its factor, and the other kernels run
+    here, through ``run_job``, while that child runs; DSOLVE is gated
+    last. The detail keeps ``BENCHMARK_ORDER``, one line per failing
+    kernel.
     Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
     """
@@ -1254,37 +1221,22 @@ def verify_matrix(data_dir, name: str) -> tuple:
         problems.extend(rep.failures)
     benches = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix]
     base = DEFAULT_CONFIGS[0]
-    failed, gated = {}, {}  # gated: benchmark -> (reference, checksums)
-
-    def fail(bname, exc):
-        failed[bname] = f"{bname}: {type(exc).__name__}: {exc}".splitlines()[0]
-
-    with Prepared() as prep:
-        prep.write_matrices(benches, {name: m})
-        runner = prep.runner(base)  # imports while the helper factors
-        prep.add_matrix(benches, name, m)
-        try:
-            dsolve_ref = prep.reference(_HELPED, name)
+    failed = {}
+    with Prepared(benches, {name: m}, [base]) as prep:
+        runner = prep.runner(base)
+        if not isinstance(prep.refs[(_HELPED, name)], Exception):
             runner.send(prep.job(_HELPED, name, 0, 1))
-        except Exception as exc:
-            fail(_HELPED, exc)
-        for bname in benches:
-            if bname == _HELPED:
-                continue
+        for bname in sorted(benches, key=lambda b: b == _HELPED):
             try:
                 ref = prep.reference(bname, name)
-                _runs, got = measure(bname, load_input(bname, name, prep.input_dir), 0, 1)
-                gated[bname] = ref, got
+                if bname == _HELPED:
+                    got = _payload(bname, name, base, runner.reply())
+                else:
+                    got = run_job(prep.job(bname, name, 0, 1))
+                if not _checksums_match(got["checksums"], ref):
+                    failed[bname] = f"{bname}: checksum mismatch"
             except Exception as exc:
-                fail(bname, exc)
-        if _HELPED not in failed:
-            try:
-                payload = _payload(_HELPED, name, base, runner.reply())
-                gated[_HELPED] = dsolve_ref, payload["checksums"]
-            except Exception as exc:
-                fail(_HELPED, exc)
-    failed.update({b: f"{b}: checksum mismatch" for b, (ref, got) in gated.items()
-                   if not _checksums_match(got, ref)})
+                failed[bname] = f"{bname}: {type(exc).__name__}: {exc}".splitlines()[0]
     problems.extend(failed[b] for b in benches if b in failed)
     if problems:
         return label, False, "; ".join(problems)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -148,6 +149,36 @@ def test_checksum_match_tolerance():
     assert not _checksums_match({"x": 1.0}, {"x": 1.0 + 5e-6})
     assert not _checksums_match({"x": 1.0}, {"y": 1.0})
     assert not _checksums_match({"x": float("nan")}, {"x": float("nan")})
+
+
+GATE_KEYS = st.sampled_from(["x", "y", "values"])
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(want=st.dictionaries(GATE_KEYS, FINITE, min_size=1), data=st.data())
+def test_checksums_match_accepts_under_half_the_gate_tolerance(want, data):
+    half = harness._GATE_RTOL / 2
+    rel = st.floats(-half, half, exclude_min=True, exclude_max=True)
+    got = {k: v * (1.0 + data.draw(rel)) for k, v in want.items()}
+    assert _checksums_match(got, want) and _checksums_match(want, got)
+
+
+@given(want=st.dictionaries(GATE_KEYS, FINITE, min_size=1), data=st.data())
+def test_checksums_match_rejects_other_keys_and_non_finite_values(want, data):
+    key = data.draw(st.sampled_from(sorted(want)))
+    bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    for got in ({**want, "extra": 0.0}, {k: v for k, v in want.items() if k != key},
+                {**want, key: bad}):
+        assert not _checksums_match(got, want) and not _checksums_match(want, got)
+
+
+NEAR_ONE = st.one_of(st.floats(), st.sampled_from(
+    [0.0, 1.0, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 2e-6, 1e6, 1e6 + 1.0, 1e6 + 2.0]))
+
+
+@given(got=st.dictionaries(GATE_KEYS, NEAR_ONE), want=st.dictionaries(GATE_KEYS, NEAR_ONE))
+def test_checksums_match_is_symmetric(got, want):
+    assert _checksums_match(got, want) == _checksums_match(want, got)
 
 
 def test_registry_shape():
@@ -588,6 +619,42 @@ def test_a_run_starts_one_runner_per_configuration(tiny_data, tmp_path, started)
     assert [p.args for p in started] == [harness._runner_command(c) for c in configs]
 
 
+def test_a_copy_of_a_configuration_gets_its_own_runner(tiny_data, tmp_path, started):
+    # an A/A control must not fork from the zygote of the run it is compared to
+    configs = [BenchConfig("base"), BenchConfig("copy")]
+    outcomes = run_suite(configs, ["TRMAT"], ["tiny"], FAST, tiny_data,
+                         tmp_path / "results")
+    assert [s for *_, s in outcomes] == ["ok"] * 2
+    assert [p.args for p in started] == [harness._runner_command(c) for c in configs]
+
+
+@pytest.fixture()
+def started_before_references(monkeypatch, started):
+    """How many processes had started each time TRMAT's reference ran."""
+    seen = []
+    bench = BENCHMARKS["TRMAT"]
+
+    def reference(op):
+        seen.append(len(started))
+        return bench.reference(op)
+    monkeypatch.setitem(BENCHMARKS, "TRMAT",
+                        dataclasses.replace(bench, reference=reference))
+    return seen
+
+
+def test_runners_start_before_the_references_are_made(tiny_data, tmp_path,
+                                                      started_before_references):
+    run_suite([BenchConfig("base"), BenchConfig("opt1", "-O")], ["TRMAT"], ["tiny"],
+              FAST, tiny_data, tmp_path / "results")
+    assert started_before_references == [2]
+
+
+def test_verify_matrix_starts_its_runner_before_the_references(
+        tiny_data, started_before_references):
+    assert verify_matrix(tiny_data, "tiny")[1]
+    assert started_before_references == [1]
+
+
 def test_no_runner_outlives_prepare(tiny_data, started):
     with pytest.raises(RuntimeError, match="stop"):
         with prepare(["TRMAT", "DSOLVE"], ["tiny"], tiny_data) as prep:
@@ -626,7 +693,7 @@ def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch, started):
     def stop(*args):
         raise Stop
     # an in-process gate stops while DSOLVE's child may still be running
-    monkeypatch.setattr(harness, "measure", stop)
+    monkeypatch.setattr(harness, "run_job", stop)
     with pytest.raises(Stop):
         verify_matrix(tiny_data, "tiny")
     assert multiprocessing.active_children() == []
