@@ -13,8 +13,9 @@ kind and their ``array`` typecodes; a benchmark's ``inputs`` name its
 kinds): the matrix's CSR arrays, handed to setup as a ``CsrMatrix`` of
 plain lists, DSOLVE's LU factor of the matrix, whose rows setup reads
 from the files one at a time, MPERM's Cuthill-McKee ordering of it, or
-ASM's mesh with its symbolic pattern. A job names that directory, never
-the matrix directory.
+ASM's mesh with its assembly's pattern and slots; the last two are
+by-products of the references that gate CMCK and ASM. A job names that
+directory, never the matrix directory.
 
 Setup runs with the cyclic garbage collector paused, and the heap it
 built is frozen while the kernel runs, so a collection during a timed
@@ -74,7 +75,8 @@ CORRUPT_ENV = "SPARKBENCH_CORRUPT"
 # combined factor plus the row and column maps; MPERM's ordering
 # ("perm") is a Permutation's two maps; ASM's input ("asm", matrix
 # "none") is the mesh's node coordinates and element corners, row-major,
-# the symbolic pattern's CSR structure and the 9 slots of each element.
+# the CSR structure of its assembly's pattern and the 9 slots of each
+# element.
 INPUT_PARTS = {
     "csr": {"shape": "q", "row_ptr": "q", "col_ind": "q", "values": "d"},
     "lu": {"row_ptr": "q", "col_ind": "q", "values": "d",
@@ -169,8 +171,9 @@ def _rows(values, width: int) -> list:
 
 
 def _setup_asm(asm):
-    """The mesh and the all-zero pattern and slots ``asm_symbolic`` made
-    of it, as the parent built them."""
+    """The mesh, an all-zero matrix on its assembly's pattern and each
+    element's slots into it: what ``asm_symbolic`` makes of the mesh,
+    taken from the parent's reference assembly."""
     nodes = _rows(asm["nodes"], 2)
     col_ind = asm["col_ind"].tolist()
     pattern = CsrMatrix(len(nodes), len(nodes), asm["row_ptr"].tolist(), col_ind,
@@ -180,7 +183,7 @@ def _setup_asm(asm):
 
 def _run_asm(mesh, pattern, slots):
     """ASM's timed body: the numeric phase into a fresh copy of the
-    all-zero pattern ``asm_symbolic`` built."""
+    all-zero pattern."""
     k = CsrMatrix(pattern.n_rows, pattern.n_cols, pattern.row_ptr,
                   pattern.col_ind, pattern.values.copy())
     asm_numeric(mesh, k, slots)
@@ -194,7 +197,8 @@ def _digest_csr(row_ptr, col_ind, values):
 
 
 def _setup_mperm(m, perm):
-    """The symmetrized matrix and the parent's ``cmck`` ordering of it."""
+    """The symmetrized matrix and the parent's reference Cuthill-McKee
+    ordering of it, the one CMCK's cells are gated against."""
     return symmetrize_lower(m), Permutation(perm["forward"].tolist(),
                                             perm["inverse"].tolist())
 

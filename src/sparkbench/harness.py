@@ -18,11 +18,13 @@ The reference implementations used for the admission gate live here,
 not in the dense oracle module: they must scale to the full-size
 inputs, so they are built on numpy/scipy instead of brute-force dense
 loops. They share no code with the kernels and never run in a cell's
-interpreter. A grid computes them once per (benchmark, matrix), from
-one load of each matrix, before its first cell. That load is the only
-parse of the matrix: its CSR arrays, and what the references build on
-the way (DSOLVE's sparse LU factor, MPERM's ordering, ASM's mesh and
-symbolic pattern), are handed to the cells as raw arrays. ``Prepared``
+interpreter; nothing but ``verify_fixtures`` calls a kernel here. A grid
+computes them once per (benchmark, matrix), from one load of each
+matrix, before its first cell. That load is the only parse of the
+matrix: its CSR arrays, and what the references build on the way
+(DSOLVE's sparse LU factor, the Cuthill-McKee order that gates CMCK
+and is MPERM's ordering, ASM's mesh with the pattern and slots of its
+assembly), are handed to the cells as raw arrays. ``Prepared``
 is the one way to make them: DSOLVE's reference and factor come from a
 forked helper process that reads the CSR arrays the parent wrote, and
 the runners start and import while the parent prepares everything
@@ -50,13 +52,13 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import matio
-from .arr_kernels import asm_symbolic, cmck, trmat
 from .cells import (
     ASM_MESH,
     BENCHMARK_ORDER,
@@ -77,9 +79,9 @@ from .cells import (
     run_job,
     weighted_checksum,
 )
-from .core import CsrMatrix, ParameterError, csr_to_linked
+from .core import CsrMatrix, ParameterError, Permutation
 from .matio import gen_tri_mesh, read_matrix_market, symmetrize_lower
-from .ptr_kernels import JacobiParams, PcgParams, dsolve, jacit, pcg, spmatmat, spmatvec
+from .ptr_kernels import JacobiParams
 
 
 class OracleMismatchError(HarnessError):
@@ -211,7 +213,9 @@ def _scipy_csr(m: CsrMatrix):
 
 class _Operands:
     """One matrix's operands for the references and the cells' inputs,
-    each built on first use; ``m`` is None for matrix "none" (ASM)."""
+    each built on first use; ``m`` is None for matrix "none" (ASM).
+    ``perm`` and ``asm`` are cell inputs too: their attributes are the
+    ``INPUT_PARTS`` of their kind."""
 
     def __init__(self, m: CsrMatrix):
         self.m = m
@@ -234,14 +238,42 @@ class _Operands:
 
     @cached_property
     def perm(self):
-        """MPERM's ordering: the kernel's own Cuthill-McKee order."""
-        return cmck(self.sym, check_pattern=False)
+        """The reference Cuthill-McKee order of ``sym``: CMCK's gate and
+        MPERM's ordering."""
+        sym = self.sym
+        return Permutation(_reference_cm(sym.n_rows, sym.row_ptr, sym.col_ind))
 
     @cached_property
     def asm(self):
-        """ASM's mesh, and the pattern and slots of its symbolic phase."""
+        """ASM's mesh as ``nodes`` and ``elements``, its stiffness matrix
+        assembled with scipy's duplicate summing (pattern ``row_ptr`` and
+        ``col_ind``, sorted by column, and ``values``) and each element's
+        9 ``slots`` into that pattern, row-major over its local matrix."""
         mesh = gen_tri_mesh(*ASM_MESH)
-        return (mesh, *asm_symbolic(mesh))
+        nodes = np.asarray(mesh.nodes, dtype=np.float64)
+        elems = np.asarray(mesh.elements, dtype=np.int64)
+        p1 = nodes[elems[:, 0]]
+        p2 = nodes[elems[:, 1]]
+        p3 = nodes[elems[:, 2]]
+        det = ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
+               - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
+        area = np.abs(det) / 2.0
+        bb = np.stack([p2[:, 1] - p3[:, 1], p3[:, 1] - p1[:, 1],
+                       p1[:, 1] - p2[:, 1]], axis=1)
+        cc = np.stack([p3[:, 0] - p2[:, 0], p1[:, 0] - p3[:, 0],
+                       p2[:, 0] - p1[:, 0]], axis=1)
+        kloc = (np.einsum("ei,ej->eij", bb, bb) + np.einsum("ei,ej->eij", cc, cc))
+        kloc /= (4.0 * area)[:, None, None]
+        rows = np.repeat(elems, 3, axis=1)
+        cols = np.tile(elems, (1, 3))
+        n = len(nodes)
+        k = sp.coo_matrix((kloc.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(n, n)).tocsr()
+        k.sort_indices()
+        keys = np.repeat(np.arange(n), np.diff(k.indptr)) * n + k.indices
+        return SimpleNamespace(nodes=nodes, elements=elems, row_ptr=k.indptr,
+                               col_ind=k.indices, values=k.data,
+                               slots=np.searchsorted(keys, rows * n + cols))
 
 
 def _ref_spmatvec(op):
@@ -311,23 +343,6 @@ def _write_factor(lu_obj, input_dir, matrix: str) -> None:
         "values": combined.data[keep], "row_map": inv_r, "col_map": inv_c})
 
 
-def _write_perm(p, input_dir, matrix: str) -> None:
-    _write_input(input_dir, matrix, "perm", {"forward": p.forward,
-                                             "inverse": p.inverse})
-
-
-def _write_asm(asm, input_dir, matrix: str) -> None:
-    mesh, pattern, slots = asm
-    _write_input(input_dir, matrix, "asm", {
-        "nodes": mesh.nodes, "elements": mesh.elements,
-        "row_ptr": pattern.row_ptr, "col_ind": pattern.col_ind, "slots": slots})
-
-
-# The writer of each input kind but "csr", called with the ``_Operands``
-# attribute of the same name.
-_INPUT_WRITERS = {"lu": _write_factor, "perm": _write_perm, "asm": _write_asm}
-
-
 def _ref_dsolve(op):
     x = op.lu.solve(np.asarray(probe_vector(op.n, salt=RHS_SALT["DSOLVE"])))
     return {"x": _np_checksum(x)}
@@ -364,29 +379,7 @@ def _ref_pcg(op):
 
 
 def _ref_asm(op):
-    """Assemble the mesh's stiffness matrix with scipy's duplicate summing."""
-    mesh = op.asm[0]
-    nodes = np.asarray(mesh.nodes, dtype=np.float64)
-    elems = np.asarray(mesh.elements, dtype=np.int64)
-    p1 = nodes[elems[:, 0]]
-    p2 = nodes[elems[:, 1]]
-    p3 = nodes[elems[:, 2]]
-    det = ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
-           - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
-    area = np.abs(det) / 2.0
-    bb = np.stack([p2[:, 1] - p3[:, 1], p3[:, 1] - p1[:, 1],
-                   p1[:, 1] - p2[:, 1]], axis=1)
-    cc = np.stack([p3[:, 0] - p2[:, 0], p1[:, 0] - p3[:, 0],
-                   p2[:, 0] - p1[:, 0]], axis=1)
-    kloc = (np.einsum("ei,ej->eij", bb, bb) + np.einsum("ei,ej->eij", cc, cc))
-    kloc /= (4.0 * area)[:, None, None]
-    rows = np.repeat(elems, 3, axis=1)
-    cols = np.tile(elems, (1, 3))
-    n = len(mesh.nodes)
-    k = sp.coo_matrix((kloc.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(n, n)).tocsr()
-    k.sort_indices()
-    return {"values": _np_checksum(k.data)}
+    return {"values": _np_checksum(op.asm.values)}
 
 
 def _ref_trmat(op):
@@ -427,13 +420,11 @@ def _reference_cm(n, ia, ja):
 
 
 def _ref_cmck(op):
-    sym = op.sym
-    return {"forward": weighted_checksum(
-        _reference_cm(sym.n_rows, sym.row_ptr, sym.col_ind))}
+    return {"forward": weighted_checksum(op.perm.forward)}
 
 
 def _ref_mperm(op):
-    """Permute by the kernel's own ordering, which is MPERM's input."""
+    """Permute by the reference ordering, which is MPERM's input."""
     inv = np.asarray(op.perm.inverse, dtype=np.int64)
     b = _scipy_csr(op.sym)[inv][:, inv].tocsr()
     b.sort_indices()
@@ -464,8 +455,10 @@ def _prepare_input(name: str, op: _Operands, input_dir, matrix: str) -> dict:
     bench = BENCHMARKS[name]
     ref = bench.reference(op)
     for kind in bench.inputs:
-        if kind != "csr":
-            _INPUT_WRITERS[kind](getattr(op, kind), input_dir, matrix)
+        if kind == "lu":
+            _write_factor(op.lu, input_dir, matrix)
+        elif kind != "csr":
+            _write_input(input_dir, matrix, kind, vars(getattr(op, kind)))
     return ref
 
 
@@ -1064,10 +1057,11 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
     import random
 
     from . import oracles
-    from .arr_kernels import asm_assemble, bandwidth, mperm
-    from .core import csr_to_ortho, linked_to_csr, ortho_to_csr
+    from .arr_kernels import asm_assemble, bandwidth, cmck, mperm, trmat
+    from .core import csr_to_linked, csr_to_ortho, linked_to_csr, ortho_to_csr
     from .matio import gen_arrow, gen_spd
-    from .ptr_kernels import lu_factor_for_dsolve
+    from .ptr_kernels import (PcgParams, dsolve, jacit, lu_factor_for_dsolve, pcg,
+                              spmatmat, spmatvec)
 
     rng = random.Random(seed)
     labels = ["conversions", "spmatvec", "spmatmat", "jacit", "dsolve",

@@ -6,7 +6,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import random
 import re
 import shlex
 import subprocess
@@ -18,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FLOATS, build_with_gc_off, row_major
-from sparkbench import cells, harness, matio
+from conftest import FLOATS, build_with_gc_off, csr_matrices, row_major
+from sparkbench import arr_kernels, cells, harness, matio, ptr_kernels
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
-from sparkbench.core import CsrMatrix, ParameterError, build_ortho
+from sparkbench.core import ParameterError, build_ortho
 from sparkbench.harness import (
     BENCHMARKS,
     BENCHMARK_ORDER,
@@ -360,7 +359,7 @@ def _short_factor(monkeypatch, part):
         _write_factor(lu_obj, input_dir, matrix)
         path = input_path(input_dir, matrix, "lu", part)
         path.write_bytes(path.read_bytes()[:-8])
-    monkeypatch.setitem(harness._INPUT_WRITERS, "lu", write_short)
+    monkeypatch.setattr(harness, "_write_factor", write_short)
 
 
 @pytest.mark.parametrize("part", ["col_ind", "values"])
@@ -375,19 +374,51 @@ def test_a_short_factor_part_fails_the_dsolve_cell(tiny_data, tmp_path, monkeypa
     assert f"cells.HarnessError: factor part tiny.lu.{part} has" in err.read_text()
 
 
-def test_reference_cm_agrees_with_kernel():
-    rng = random.Random(77)
-    for _ in range(25):
-        n = rng.randint(2, 30)
-        triples = {(i, i): 1.0 for i in range(n)}
-        for i in range(n):
-            for j in rng.sample(range(i), min(i, rng.randint(0, 3))):
-                triples[(i, j)] = 1.0
-                triples[(j, i)] = 1.0
-        m = symmetrize_lower(CsrMatrix.from_triples(
-            n, n, [(i, j, v) for (i, j), v in triples.items()]))
-        fwd = _reference_cm(n, m.row_ptr, m.col_ind)
-        assert fwd == cmck(m).forward
+# MPERM's input is the reference order that gates CMCK: this keeps it the
+# order the kernel computes, on patterns with empty rows and no diagonal.
+@given(m=csr_matrices(square=True).map(symmetrize_lower))
+def test_reference_cm_agrees_with_kernel(m):
+    assert _reference_cm(m.n_rows, m.row_ptr, m.col_ind) == cmck(m).forward
+
+
+_KERNELS = {
+    arr_kernels: ["cmck", "asm_symbolic", "asm_numeric", "trmat", "_mperm_fill"],
+    ptr_kernels: ["spmatvec", "spmatmat", "jacit", "dsolve", "pcg"]}
+
+
+def test_preparation_calls_no_kernel(tiny_data, tmp_path, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the parent called a kernel")
+    for module, names in _KERNELS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, kernel)
+            monkeypatch.setattr(harness, name, kernel, raising=False)
+    benches = ["ASM", "CMCK", "MPERM", "TRMAT"]
+    with prepare(benches, ["tiny"], tiny_data) as prep:
+        assert {k: r for k, r in prep.refs.items() if isinstance(r, Exception)} == {}
+    # the runners are other interpreters, which the patches do not reach
+    outcomes = run_suite([BenchConfig("base")], benches, ["tiny"], FAST, tiny_data,
+                         tmp_path / "results")
+    assert [s for *_, s in outcomes] == ["ok"] * len(benches)
+
+
+def test_cells_get_what_the_kernels_would_build(tiny_data):
+    m, symmetry = matio.gen_standin("sherman3")
+    write_matrix_market(matrix_path(tiny_data, "sherman3"), m, symmetry=symmetry)
+    with prepare(["ASM", "MPERM"], ["tiny", "sherman3"], tiny_data) as prep:
+        asm = read_input(prep.input_dir, "none", "asm")
+        mesh = matio.gen_tri_mesh(*cells.ASM_MESH)
+        pattern, slots = arr_kernels.asm_symbolic(mesh)
+        assert asm["nodes"].tolist() == [c for node in mesh.nodes for c in node]
+        assert asm["elements"].tolist() == [c for e in mesh.elements for c in e]
+        assert asm["row_ptr"].tolist() == pattern.row_ptr
+        assert asm["col_ind"].tolist() == pattern.col_ind
+        assert asm["slots"].tolist() == [s for e in slots for s in e]
+        for name in ("tiny", "sherman3"):
+            perm = read_input(prep.input_dir, name, "perm")
+            want = cmck(symmetrize_lower(harness.load_matrix(tiny_data, name)))
+            assert perm["forward"].tolist() == want.forward, name
+            assert perm["inverse"].tolist() == want.inverse, name
 
 
 # --- results tree and aggregation ---------------------------------------------
