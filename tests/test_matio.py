@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csr_matrices, hex_csr, other_interpreter
+from sparkbench.cli import main
 from sparkbench.core import CsrMatrix
 from sparkbench.matio import (
     MATRIX_NAMES,
@@ -294,6 +295,16 @@ GENERATED_SHA256 = {
     "spd2000s1.mtx": "82694212d53da3705382a9350edee0d276f618061eb2826344d5c08c4157d823",
 }
 
+# sha256 of every file ``gen --spd 12 --banded 10 --arrow 8 --mesh 2 2
+# --seed 3`` writes: the synthetic families' generators and writers.
+FAMILY_SHA256 = {
+    "spd12s3.mtx": "99863228f01ea85559c2977ea15fcbe5a083d1263b1fa121177db37c50feee42",
+    "banded10s3.mtx":
+        "cd0b29364fc873732409b59316d9922a43f00cbe0ac2ea67eacba5340007c9f6",
+    "arrow8s3.mtx": "86c33f8e9c5e00cc5810c07eaaa4d459901e9e5ff100164c52040c417d8ebdc7",
+    "mesh2x2.txt": "f6fec0d692a029d51b6b98791d1832e6f646accfacda4068ac48ee5df8e04432",
+}
+
 
 def sha256_of(paths):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
@@ -307,6 +318,13 @@ def test_standins_are_deterministic(tmp_path):
     spd = matrix_path(tmp_path, "spd2000s1")
     write_matrix_market(spd, gen_spd(2000, seed=1), symmetry="symmetric")
     assert sha256_of([*paths, spd]) == GENERATED_SHA256
+
+
+def test_synthetic_families_are_deterministic(tmp_path):
+    assert main(["gen", "--data-dir", str(tmp_path), "--spd", "12",
+                 "--banded", "10", "--arrow", "8", "--mesh", "2", "2",
+                 "--seed", "3"]) == 0
+    assert sha256_of(tmp_path.iterdir()) == FAMILY_SHA256
 
 
 def test_generated_bytes_are_the_same_under_python312(tmp_path):
