@@ -17,6 +17,16 @@ ASM's mesh with its assembly's pattern and slots; the last two are
 by-products of the references that gate CMCK and ASM. A job names that
 directory, never the matrix directory.
 
+The one exception is the symmetrized matrix: CMCK's and MPERM's setups
+call ``symmetrize_lower``, though the parent builds the same matrix as
+``_Operands.sym``. It stays that way because the result's layout is part
+of what MPERM is timed on: ``symmetrize_lower`` puts one float object
+behind both entries of a mirrored pair, while arrays read back with
+``tolist`` give one per entry. Handed the parent's symmetrized arrays
+instead, MPERM's kernel read 7.56 -> 8.38 ms on sherman3 and 3.28 ->
+3.46 ms on spd2000s1 (2-vCPU host, Python 3.11, medians of 5 timed calls
+over 6 alternating rounds), with identical digests; CMCK's did not move.
+
 Setup runs with the cyclic garbage collector paused, and the heap it
 built is frozen while the kernel runs, so a collection during a timed
 run never rescans the cell's storage.

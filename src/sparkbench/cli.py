@@ -25,36 +25,45 @@ def _policy(args) -> TimingPolicy:
     return TimingPolicy.parse(args.policy)
 
 
+def _gen_banded(n, seed):
+    """Full bands at offsets -2 to 2, keeping those an order-n matrix has."""
+    bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2) if abs(off) < n]
+    return matio.gen_banded(n, bands, seed)
+
+
+# Each synthetic family's flag, which names its files, maps to what it
+# writes, its generator and the symmetry it is written with. A generator
+# looks its ``matio`` function up when it runs, so a wrapper installed on
+# ``matio`` after this import still sees the call.
+_FAMILIES = {
+    "spd": ("a random SPD matrix",
+            lambda n, seed: matio.gen_spd(n, seed), "symmetric"),
+    "banded": ("a random banded matrix", _gen_banded, "general"),
+    "arrow": ("an arrowhead matrix",
+              lambda n, seed: matio.gen_arrow(n, seed), "general"),
+}
+
+
 def cmd_gen(args) -> int:
     data_dir = Path(args.data_dir)
-    written = []
-    extra = (args.spd, args.banded, args.arrow, args.mesh)
-    if any(a is not None for a in extra):
+    orders = {flag: getattr(args, flag) for flag in _FAMILIES
+              if getattr(args, flag) is not None}
+    if not orders and args.mesh is None:
+        written = matio.gen_all_standins(data_dir)
+    else:
         data_dir.mkdir(parents=True, exist_ok=True)
-        if args.spd is not None:
-            m = matio.gen_spd(args.spd, seed=args.seed)
-            p = matio.matrix_path(data_dir, f"spd{args.spd}s{args.seed}")
-            matio.write_matrix_market(p, m, symmetry="symmetric")
-            written.append(p)
-        if args.banded is not None:
-            bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2)]
-            m = matio.gen_banded(args.banded, bands, seed=args.seed)
-            p = matio.matrix_path(data_dir, f"banded{args.banded}s{args.seed}")
-            matio.write_matrix_market(p, m)
-            written.append(p)
-        if args.arrow is not None:
-            m = matio.gen_arrow(args.arrow, seed=args.seed)
-            p = matio.matrix_path(data_dir, f"arrow{args.arrow}s{args.seed}")
-            matio.write_matrix_market(p, m)
+        written = []
+        for flag, n in orders.items():
+            _, generate, symmetry = _FAMILIES[flag]
+            m = generate(n, args.seed)
+            p = matio.matrix_path(data_dir, f"{flag}{n}s{args.seed}")
+            matio.write_matrix_market(p, m, symmetry=symmetry)
             written.append(p)
         if args.mesh is not None:
             nx, ny = args.mesh
-            mesh = matio.gen_tri_mesh(nx, ny)
             p = data_dir / f"mesh{nx}x{ny}.txt"
-            matio.write_mesh(p, mesh)
+            matio.write_mesh(p, matio.gen_tri_mesh(nx, ny))
             written.append(p)
-    else:
-        written = matio.gen_all_standins(data_dir)
     for p in written:
         print(p)
     return 0
@@ -190,15 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write synthetic inputs to data/")
     p_gen.add_argument("--data-dir", default="data")
     p_gen.add_argument("--seed", type=int, default=7)
-    p_gen.add_argument("--spd", type=int, metavar="N",
-                       help="write a random SPD matrix of order N instead of "
-                            "the stand-ins")
-    p_gen.add_argument("--banded", type=int, metavar="N",
-                       help="write a random banded matrix of order N instead of "
-                            "the stand-ins")
-    p_gen.add_argument("--arrow", type=int, metavar="N",
-                       help="write an arrowhead matrix of order N instead of "
-                            "the stand-ins")
+    for flag, (what, _, _) in _FAMILIES.items():
+        p_gen.add_argument(f"--{flag}", type=int, metavar="N",
+                           help=f"write {what} of order N instead of "
+                                "the stand-ins")
     p_gen.add_argument("--mesh", type=int, nargs=2, metavar=("NX", "NY"),
                        help="write a triangular grid mesh instead of "
                             "the stand-ins")

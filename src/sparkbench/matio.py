@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -107,14 +108,6 @@ TABLE1_EXPECTED = {
 }
 
 MATRIX_NAMES = list(TABLE1_EXPECTED)
-
-_STANDIN_SEEDS = {
-    "add32": 101,
-    "utm5940": 102,
-    "sherman3": 103,
-    "codecs4812.dc": 104,
-    "bcsstk13": 105,
-}
 
 
 def _matrix_name_from_path(path) -> str:
@@ -411,26 +404,6 @@ def write_mesh(path, mesh: TriMesh) -> None:
             fh.write(f"{a} {b} {c}\n")
 
 
-def read_mesh(path) -> TriMesh:
-    path = os.fspath(path)
-    with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().split()
-        if len(head) != 4 or head[0] != "nodes" or head[2] != "elements":
-            raise ParameterError(f"{path}: bad mesh header")
-        n_nodes, n_elems = int(head[1]), int(head[3])
-        nodes = []
-        for _ in range(n_nodes):
-            x, y = fh.readline().split()
-            nodes.append((float(x), float(y)))
-        elements = []
-        for _ in range(n_elems):
-            a, b, c = fh.readline().split()
-            elements.append((int(a), int(b), int(c)))
-    mesh = TriMesh(nodes, elements)
-    mesh.validate()
-    return mesh
-
-
 def _dominant(n, off) -> CsrMatrix:
     """The off-diagonal entries ``off`` plus a diagonal making the matrix
     strictly dominant both ways."""
@@ -453,16 +426,17 @@ def _below(bits, n):
     return r
 
 
-def _standin_scatter(n, target, rng, band) -> CsrMatrix:
-    """Full diagonal plus (target - n) unique off-diagonal entries.
+def _standin_scatter(meta, rng, band) -> CsrMatrix:
+    """Full diagonal plus (entries - n) unique off-diagonal entries.
 
     ``_below`` draws what ``randrange(n)`` and ``randint(-band, band)``
     would, and ``-1 + 2 * random()`` is ``uniform(-1, 1)``; the same holds
     in the two stand-ins below.
     """
+    n = meta.n_rows
     bits, rnd = rng.getrandbits, rng.random
     off = {}
-    while len(off) < target - n:
+    while len(off) < meta.entries - n:
         i = _below(bits, n)
         j = i + _below(bits, 2 * band + 1) - band
         if 0 <= j < n and i != j and (i, j) not in off:
@@ -470,9 +444,9 @@ def _standin_scatter(n, target, rng, band) -> CsrMatrix:
     return _dominant(n, off)
 
 
-def _standin_sherman3(rng) -> CsrMatrix:
-    n, target = 5005, 20033
-    n_pairs = (target - n) // 2
+def _standin_sherman3(meta, rng) -> CsrMatrix:
+    n = meta.n_rows
+    n_pairs = (meta.entries - n) // 2
     bits, rnd = rng.getrandbits, rng.random
     pairs = {}
     while len(pairs) < n_pairs:
@@ -487,9 +461,9 @@ def _standin_sherman3(rng) -> CsrMatrix:
     return _dominant(n, off)
 
 
-def _standin_bcsstk13(rng) -> CsrMatrix:
-    n, stored = 2003, 42943
-    n_lower = stored - n
+def _standin_bcsstk13(meta, rng) -> CsrMatrix:
+    n = meta.n_rows
+    n_lower = meta.entries - n
     bits, rnd = rng.getrandbits, rng.random
     lower = {}
     while len(lower) < n_lower:
@@ -504,6 +478,18 @@ def _standin_bcsstk13(rng) -> CsrMatrix:
     return _dominant(n, off)
 
 
+# Each stand-in's generator seed, builder and the symmetry it is written
+# with. A builder reads the order and the stored-entry count from the
+# name's ``TABLE1_EXPECTED`` entry.
+_STANDINS = {
+    "add32": (101, partial(_standin_scatter, band=40), "general"),
+    "utm5940": (102, partial(_standin_scatter, band=104), "general"),
+    "sherman3": (103, _standin_sherman3, "general"),
+    "codecs4812.dc": (104, partial(_standin_scatter, band=80), "general"),
+    "bcsstk13": (105, _standin_bcsstk13, "symmetric"),
+}
+
+
 def gen_standin(name: str) -> tuple:
     """Build the deterministic stand-in for one named collection matrix.
 
@@ -513,20 +499,10 @@ def gen_standin(name: str) -> tuple:
     diagonally dominant diagonal so the iterative kernels stay finite.
     Returns (CsrMatrix, symmetry tag to write with).
     """
-    if name not in TABLE1_EXPECTED:
+    if name not in _STANDINS:
         raise ParameterError(f"unknown matrix name {name!r}")
-    rng = random.Random(_STANDIN_SEEDS[name])
-    if name == "add32":
-        return _standin_scatter(4960, 23884, rng, band=40), "general"
-    if name == "utm5940":
-        return _standin_scatter(5940, 83842, rng, band=104), "general"
-    if name == "sherman3":
-        return _standin_sherman3(rng), "general"
-    if name == "codecs4812.dc":
-        return _standin_scatter(4812, 45192, rng, band=80), "general"
-    if name == "bcsstk13":
-        return _standin_bcsstk13(rng), "symmetric"
-    raise AssertionError(name)
+    seed, build, symmetry = _STANDINS[name]
+    return build(TABLE1_EXPECTED[name], random.Random(seed)), symmetry
 
 
 def matrix_path(data_dir, name: str) -> Path:

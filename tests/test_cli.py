@@ -59,6 +59,15 @@ def test_gen_extra_generators(tmp_path):
                      "mesh2x2.txt"}
 
 
+@pytest.mark.parametrize("n, entries", [(1, [(1, 1)]),
+                                        (2, [(1, 1), (1, 2), (2, 1), (2, 2)])])
+def test_gen_banded_below_order_3_keeps_the_bands_that_fit(n, entries, tmp_path):
+    assert main(["gen", "--data-dir", str(tmp_path), "--banded", str(n)]) == 0
+    lines = matrix_path(tmp_path, f"banded{n}s7").read_text().splitlines()
+    assert lines[1] == f"{n} {n} {len(entries)}"
+    assert [tuple(map(int, line.split()[:2])) for line in lines[2:]] == entries
+
+
 @pytest.mark.parametrize("flag", ["--spd", "--banded", "--arrow"])
 def test_gen_rejects_order_zero(flag, tmp_path, capsys):
     code = main(["gen", "--data-dir", str(tmp_path), flag, "0"])

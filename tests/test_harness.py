@@ -964,6 +964,34 @@ def test_verify_fixtures_all_pass():
     assert verify_fixtures(seed=2024, count=10) == results
 
 
+def test_verify_fixtures_fails_a_wrong_transpose(monkeypatch):
+    trmat = arr_kernels.trmat
+
+    def shifted(m):
+        t = trmat(m)
+        return dataclasses.replace(t, values=[v + 1.0 for v in t.values])
+
+    monkeypatch.setattr(arr_kernels, "trmat", shifted)
+    results = verify_fixtures(seed=2024, count=3)
+    assert ("trmat", False, "fixture 0: transpose differs") in results
+    assert all(ok for label, ok, _ in results if label != "trmat"), results
+
+
+def test_verify_fixtures_fails_a_misreported_pcg_residual(monkeypatch):
+    pcg = ptr_kernels.pcg
+
+    def misreported(*args):
+        x, used, rel = pcg(*args)
+        return x, used, 2.0 * rel + 1e-3
+
+    monkeypatch.setattr(ptr_kernels, "pcg", misreported)
+    results = {label: (ok, detail) for label, ok, detail
+               in verify_fixtures(seed=2024, count=3)}
+    ok, detail = results.pop("pcg")
+    assert not ok and detail.startswith("trial 0: reported residual "), detail
+    assert all(ok for ok, _ in results.values()), results
+
+
 def test_verify_matrix_gates_every_matrix_kernel(tiny_data):
     assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
 
