@@ -26,7 +26,7 @@ def _policy(args) -> TimingPolicy:
 
 
 def _gen_banded(n, seed):
-    """Full bands at offsets -2 to 2, keeping those an order-n matrix has."""
+    """Full bands at offsets -2, -1, 1 and 2, those an order-n matrix has."""
     bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2) if abs(off) < n]
     return matio.gen_banded(n, bands, seed)
 
