@@ -11,7 +11,6 @@ commands that need it, so ``gen`` and ``inspect`` start without them.
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import matio
 from .cells import BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, matrix_file
@@ -25,45 +24,14 @@ def _policy(args) -> TimingPolicy:
     return TimingPolicy.parse(args.policy)
 
 
-def _gen_banded(n, seed):
-    """Full bands at offsets -2, -1, 1 and 2, those an order-n matrix has."""
-    bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2) if abs(off) < n]
-    return matio.gen_banded(n, bands, seed)
-
-
-# Each synthetic family's flag, which names its files, maps to what it
-# writes, its generator and the symmetry it is written with. A generator
-# looks its ``matio`` function up when it runs, so a wrapper installed on
-# ``matio`` after this import still sees the call.
-_FAMILIES = {
-    "spd": ("a random SPD matrix",
-            lambda n, seed: matio.gen_spd(n, seed), "symmetric"),
-    "banded": ("a random banded matrix", _gen_banded, "general"),
-    "arrow": ("an arrowhead matrix",
-              lambda n, seed: matio.gen_arrow(n, seed), "general"),
-}
-
-
 def cmd_gen(args) -> int:
-    data_dir = Path(args.data_dir)
-    orders = {flag: getattr(args, flag) for flag in _FAMILIES
-              if getattr(args, flag) is not None}
-    if not orders and args.mesh is None:
-        written = matio.gen_all_standins(data_dir)
+    orders = {name: getattr(args, name) for name in matio.FAMILIES
+              if getattr(args, name) is not None}
+    if orders or args.mesh is not None:
+        written = matio.write_families(args.data_dir, orders, args.seed,
+                                       args.mesh)
     else:
-        data_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for flag, n in orders.items():
-            _, generate, symmetry = _FAMILIES[flag]
-            m = generate(n, args.seed)
-            p = matio.matrix_path(data_dir, f"{flag}{n}s{args.seed}")
-            matio.write_matrix_market(p, m, symmetry=symmetry)
-            written.append(p)
-        if args.mesh is not None:
-            nx, ny = args.mesh
-            p = data_dir / f"mesh{nx}x{ny}.txt"
-            matio.write_mesh(p, matio.gen_tri_mesh(nx, ny))
-            written.append(p)
+        written = matio.gen_all_standins(args.data_dir)
     for p in written:
         print(p)
     return 0
@@ -199,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write synthetic inputs to data/")
     p_gen.add_argument("--data-dir", default="data")
     p_gen.add_argument("--seed", type=int, default=7)
-    for flag, (what, _, _) in _FAMILIES.items():
+    for flag, (what, _, _) in matio.FAMILIES.items():
         p_gen.add_argument(f"--{flag}", type=int, metavar="N",
                            help=f"write {what} of order N instead of "
                                 "the stand-ins")

@@ -177,9 +177,6 @@ class LinkedRowMatrix:
             yield e
             e = e.next_in_row
 
-    def nnz(self) -> int:
-        return sum(1 for i in range(self.size) for _ in self.row_elements(i))
-
 
 class OrthoLinkedMatrix(LinkedRowMatrix):
     """Sparse matrix with orthogonal (row and column) element chains.
@@ -226,10 +223,6 @@ class Permutation:
             for old, new in enumerate(self.forward):
                 if self.inverse[new] != old:
                     raise PermutationError("inverse does not invert forward")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(list(range(n)), list(range(n)))
 
     @property
     def n(self) -> int:

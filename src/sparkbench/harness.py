@@ -14,24 +14,24 @@ the aggregator folds the tree into the space-separated ``spark.dat``
 with one ``id benchmark matrix reftime time`` line per cell, and the
 reporter turns that into per-matrix speedup charts plus a CSV.
 
-The reference implementations used for the admission gate live here,
-not in the dense oracle module: they must scale to the full-size
-inputs, so they are built on numpy/scipy instead of brute-force dense
-loops. They share no code with the kernels and never run in a cell's
-interpreter; nothing but ``verify_fixtures`` calls a kernel here. A grid
-computes them once per (benchmark, matrix), from one load of each
-matrix, before its first cell. That load is the only parse of the
-matrix: its CSR arrays, and what the references build on the way
-(DSOLVE's sparse LU factor, the Cuthill-McKee order that gates CMCK
-and is MPERM's ordering, ASM's mesh with the pattern and slots of its
-assembly), are handed to the cells as raw arrays. ``Prepared``
-is the one way to make them: DSOLVE's reference and factor come from a
-forked helper process that reads the CSR arrays the parent wrote, and
-the runners start and import while the parent prepares everything
-else. ``verify_matrix`` prepares through it too, then gates DSOLVE in a
-child of a ``base`` runner, as a grid cell, and the other kernels in
-process, so the parent never builds DSOLVE's storage of a node per
-factor entry.
+The reference implementations used for the admission gate live here, not
+in the dense oracle module: they must scale to the full-size inputs, so
+they are built on numpy/scipy instead of brute-force dense loops. They
+share no code with the kernels and never run in a cell's interpreter.
+Kernels run in this process only to be checked: ``verify_fixtures`` on
+small fixtures, ``verify_matrix`` for seven of its eight gates, through
+``run_job``, and ``execute_cell`` for its one cell. A grid computes the
+references once per (benchmark, matrix), from one load of each matrix,
+before its first cell. That load is the only parse of the matrix: its
+CSR arrays, and what the references build on the way (DSOLVE's sparse LU
+factor, the Cuthill-McKee order that gates CMCK and is MPERM's ordering,
+ASM's mesh with the pattern and slots of its assembly), are handed to
+the cells as raw arrays. ``Prepared`` is the one way to make them:
+DSOLVE's reference and factor come from a forked helper process that
+reads the CSR arrays the parent wrote, and the runners start and import
+while the parent prepares everything else. ``verify_matrix`` prepares
+through it too and gates DSOLVE as a grid cell, in a child of a ``base``
+runner, so the parent never builds a node per entry of DSOLVE's factor.
 """
 
 from __future__ import annotations
@@ -1166,8 +1166,7 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
 
     why = ""
     for n in (50, 120):
-        full = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2)]
-        banded = symmetrize_lower(matio.gen_banded(n, full, seed=n))
+        banded = symmetrize_lower(matio.gen_pentadiagonal(n, seed=n))
         pb = cmck(banded)
         bw0 = bandwidth(banded)
         bw1 = bandwidth(mperm(banded, pb, [0.0] * n)[0])

@@ -2,8 +2,8 @@
 
 Reads Matrix Market coordinate files into CSR, checks them against the
 expected characteristics of the five named collection matrices, mirrors
-lower triangles for the ordering kernels, and generates deterministic
-synthetic matrices and meshes for testing and benchmarking.
+lower triangles for the ordering kernels, and generates and writes every
+deterministic input ``gen`` makes: stand-ins, synthetic families, meshes.
 """
 
 from __future__ import annotations
@@ -368,6 +368,13 @@ def gen_arrow(n: int, seed: int) -> CsrMatrix:
     return CsrMatrix.from_triples(n, n, triples)
 
 
+def gen_pentadiagonal(n: int, seed: int) -> CsrMatrix:
+    """The ``banded`` family: the diagonal plus full bands at offsets -2,
+    -1, 1 and 2, those an order-n matrix has."""
+    bands = [(off, 1.0, (-1.0, 1.0)) for off in (-2, -1, 1, 2) if abs(off) < n]
+    return gen_banded(n, bands, seed)
+
+
 def gen_tri_mesh(nx: int, ny: int) -> TriMesh:
     """Structured triangulation of the rectangle [0, nx] x [0, ny].
 
@@ -509,11 +516,44 @@ def matrix_path(data_dir, name: str) -> Path:
     return Path(data_dir) / f"{name}.mtx"
 
 
-def _write_standin(data_dir, name) -> Path:
-    m, sym = gen_standin(name)
+def _write(data_dir, name, m, symmetry) -> Path:
     p = matrix_path(data_dir, name)
-    write_matrix_market(p, m, symmetry=sym)
+    write_matrix_market(p, m, symmetry=symmetry)
     return p
+
+
+def _write_standin(data_dir, name) -> Path:
+    return _write(data_dir, name, *gen_standin(name))
+
+
+# Each synthetic family by its ``gen`` flag: what it is, its (n, seed)
+# generator and its symmetry tag. A generator looks its function up when it
+# runs, so a wrapper installed on this module after import sees the call.
+FAMILIES = {
+    "spd": ("a random SPD matrix",
+            lambda n, seed: gen_spd(n, seed), "symmetric"),
+    "banded": ("a random banded matrix",
+               lambda n, seed: gen_pentadiagonal(n, seed), "general"),
+    "arrow": ("an arrowhead matrix",
+              lambda n, seed: gen_arrow(n, seed), "general"),
+}
+
+
+def write_families(data_dir, orders: dict, seed: int, mesh) -> list:
+    """Write ``<name><n>s<seed>.mtx`` for each (name, n) in ``orders``, then,
+    given ``mesh = (nx, ny)``, ``mesh<nx>x<ny>.txt``; returns the paths."""
+    Path(data_dir).mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, n in orders.items():
+        _, generate, symmetry = FAMILIES[name]
+        written.append(_write(data_dir, f"{name}{n}s{seed}",
+                              generate(n, seed), symmetry))
+    if mesh is not None:
+        nx, ny = mesh
+        p = Path(data_dir, f"mesh{nx}x{ny}.txt")
+        write_mesh(p, gen_tri_mesh(nx, ny))
+        written.append(p)
+    return written
 
 
 def gen_all_standins(data_dir) -> list:

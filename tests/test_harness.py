@@ -992,6 +992,19 @@ def test_verify_fixtures_fails_a_misreported_pcg_residual(monkeypatch):
     assert all(ok for ok, _ in results.values()), results
 
 
+def test_verify_fixtures_checks_cmck_on_the_banded_family(monkeypatch):
+    family, calls = matio.gen_pentadiagonal, []
+
+    def spy(n, seed):
+        calls.append((n, seed))
+        return family(n, seed)
+
+    monkeypatch.setattr(matio, "gen_pentadiagonal", spy)
+    results = verify_fixtures(seed=2024, count=3)
+    assert calls == [(50, 50), (120, 120)]
+    assert ("cmck_bandwidth", True, "2 sizes") in results
+
+
 def test_verify_matrix_gates_every_matrix_kernel(tiny_data):
     assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
 

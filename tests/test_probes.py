@@ -9,7 +9,7 @@ import inspect
 import os
 from pathlib import Path
 
-from sparkbench import harness
+from sparkbench import cli, harness
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
@@ -27,10 +27,14 @@ def test_the_full_probe_set_installs_and_undoes(tmp_path):
              "verify_matrix", "verify_fixtures", "_checksums_match"]
     before = {n: getattr(harness, n) for n in names}
     env = os.environ.get(probes.SPANS_ENV)
-    patches = probes.install(probes.Tracer(), full=True,
-                             spans_file=tmp_path / "spans.jsonl")
+    tracer = probes.Tracer()
+    patches = probes.install(tracer, full=True, spans_file=tmp_path / "spans.jsonl")
     assert all(getattr(harness, n) is not before[n] for n in names)
+    # gen's family table looks its generator up when it runs
+    assert cli.main(["gen", "--data-dir", str(tmp_path), "--spd", "4"]) == 0
     patches.undo()
+    assert {"matio.gen_spd", "matio.write_matrix_market"} <= {
+        s["name"] for s in tracer.spans}
     assert {n: getattr(harness, n) for n in names} == before
     assert os.environ.get(probes.SPANS_ENV) == env
     # the probe calls a cell with five positional arguments
