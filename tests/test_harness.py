@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FLOATS, build_with_gc_off, csr_matrices, row_major
-from sparkbench import arr_kernels, cells, harness, matio, ptr_kernels
+from sparkbench import arr_kernels, cells, core, harness, matio, ptr_kernels
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
-from sparkbench.core import ParameterError, build_ortho
+from sparkbench.core import ParameterError, Permutation, build_ortho
 from sparkbench.harness import (
     BENCHMARKS,
     BENCHMARK_ORDER,
@@ -990,6 +990,51 @@ def test_verify_fixtures_fails_a_misreported_pcg_residual(monkeypatch):
     ok, detail = results.pop("pcg")
     assert not ok and detail.startswith("trial 0: reported residual "), detail
     assert all(ok for ok, _ in results.values()), results
+
+
+def _shifted(m):
+    return dataclasses.replace(m, values=[v + 1.0 for v in m.values])
+
+
+def _plus_one(x):
+    return [v + 1.0 for v in x]
+
+
+# (module, function, wrapper of the real function, the failures it causes)
+_BREAKS = [
+    (core, "linked_to_csr", lambda f: lambda lk: _shifted(f(lk)),
+     [("conversions", False, "fixture 0: linked round trip differs")]),
+    # pcg multiplies through spmatvec, so its residual check fails too
+    (ptr_kernels, "spmatvec", lambda f: lambda *a: _plus_one(f(*a)),
+     [("spmatvec", False, "fixture 0: product differs"),
+      ("pcg", False, "trial 0: reported residual 11.93124348036075 "
+                     "vs recomputed 12.582877766311597")]),
+    (ptr_kernels, "spmatmat", lambda f: lambda *a: [_plus_one(r) for r in f(*a)],
+     [("spmatmat", False, "fixture 0: product differs")]),
+    (ptr_kernels, "jacit", lambda f: lambda *a: _plus_one(f(*a)),
+     [("jacit", False, "fixture 0: sweeps diverge from oracle")]),
+    (ptr_kernels, "dsolve", lambda f: lambda *a: _plus_one(f(*a)),
+     [("dsolve", False, "fixture 0: residual too large")]),
+    (arr_kernels, "mperm", lambda f: lambda *a: (_shifted(f(*a)[0]), f(*a)[1]),
+     [("mperm", False, "fixture 0: permuted matrix differs")]),
+    (matio, "write_matrix_market",
+     lambda f: lambda p, m, **kw: f(p, _shifted(m), **kw),
+     [("matrixmarket", False, "fixture 0: file round trip differs")]),
+    (arr_kernels, "asm_assemble", lambda f: lambda mesh: _shifted(f(mesh)),
+     [("asm", False, "mesh 2x2: max deviation 1.0")]),
+    (arr_kernels, "cmck", lambda f: lambda m, *a: Permutation(list(range(m.n_rows))),
+     [("cmck_bandwidth", False, "arrow n=50: bandwidth not reduced 49 -> 49")]),
+]
+
+
+@pytest.mark.parametrize("module, name, wrap, failures", _BREAKS,
+                         ids=[name for _, name, _, _ in _BREAKS])
+def test_verify_fixtures_names_the_first_failure_of_a_broken_kernel(
+        module, name, wrap, failures, monkeypatch):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    results = verify_fixtures(seed=2024, count=3)
+    assert [r for r in results if not r[1]] == failures
+    assert len(results) == 12
 
 
 def test_verify_fixtures_checks_cmck_on_the_banded_family(monkeypatch):
