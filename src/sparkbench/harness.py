@@ -81,7 +81,7 @@ from .cells import (
 )
 from .core import CsrMatrix, ParameterError, Permutation
 from .matio import gen_tri_mesh, read_matrix_market, symmetrize_lower
-from .ptr_kernels import JacobiParams
+from .ptr_kernels import JacobiParams, PcgParams
 
 
 class OracleMismatchError(HarnessError):
@@ -722,6 +722,8 @@ def time_file_path(results_root, config_id: str, benchmark: str,
 _TIME_KEYS = ("benchmark", "matrix", "config", "seconds", "aggregator",
               "warmup_runs", "measured_runs", "runs", "checksums",
               "ref_checksums")
+# a speedup compares two cells only if both were timed under these
+_POLICY_KEYS = ("warmup_runs", "measured_runs", "aggregator")
 
 
 def write_time_file(path, record: dict) -> None:
@@ -818,9 +820,10 @@ def aggregate(results_root, out_path=None) -> tuple:
     single spaces, %.6f seconds, sorted by (id, benchmark, matrix), LF
     line endings. reftime is the base configuration's seconds for the
     same (benchmark, matrix); cells without a base measurement are
-    skipped with a warning, and so are a malformed .time file and a
-    cell whose names break the config-id rule. Returns (path written,
-    warnings).
+    skipped with a warning, and so are a malformed .time file, a cell
+    measured under another timing policy than its base cell (warmups,
+    measured runs or aggregator) and a cell whose names break the
+    config-id rule. Returns (path written, warnings).
     """
     results_root = Path(results_root)
     if not (results_root / "base").is_dir():
@@ -834,17 +837,24 @@ def aggregate(results_root, out_path=None) -> tuple:
             except HarnessError as exc:
                 warnings.append(f"{exc}; skipping it")
                 continue
-            cells[(cfg_dir.name, d["benchmark"], d["matrix"])] = d["seconds"]
-    base_times = {(b, m): s for (i, b, m), s in cells.items() if i == "base"}
+            cells[(cfg_dir.name, d["benchmark"], d["matrix"])] = d
+    base = {(b, m): d for (i, b, m), d in cells.items() if i == "base"}
     lines = []
-    for (cid, bench, mat), seconds in sorted(cells.items()):
-        ref = base_times.get((bench, mat))
+    for (cid, bench, mat), d in sorted(cells.items()):
+        ref = base.get((bench, mat))
         if ref is None:
             warnings.append(f"no base measurement for {bench} {mat}; "
                             f"skipping {cid}")
             continue
+        differ = [f"{k} {d[k]!r} vs {ref[k]!r}"
+                  for k in _POLICY_KEYS if d[k] != ref[k]]
+        if differ:
+            warnings.append(f"policy differs from base for {bench} {mat} "
+                            f"({', '.join(differ)}); skipping {cid}")
+            continue
         try:
-            lines.append(BenchRecord(cid, bench, mat, ref, seconds).format_line())
+            lines.append(BenchRecord(cid, bench, mat, ref["seconds"],
+                                     d["seconds"]).format_line())
         except ParameterError as exc:
             warnings.append(f"{exc}; skipping {cid} {bench} {mat}")
     if out_path is None:
@@ -1045,141 +1055,139 @@ def _dominant_fixture(rng) -> CsrMatrix:
     return CsrMatrix.from_triples(n, n, triples)
 
 
+def _failure(where, exc) -> str:
+    """The one-line failure text of a check that raised at ``where``."""
+    return f"{where}: {type(exc).__name__}: {exc}".splitlines()[0]
+
+
 def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
     """Check every kernel against its oracle on small seeded fixtures.
 
-    Returns (label, ok, detail) tuples in a fixed order; ok is True or
-    False. The output is a pure function of the arguments. A count
+    Returns (label, ok, detail) tuples in a fixed order. Each label has its
+    items and a check that returns one item's failure text or None; a label
+    fails with its first failure, and a check that raises fails only its
+    own label. The output is a pure function of the arguments. A count
     below 1 raises ``ParameterError``: no fixture, no pass.
     """
     if count < 1:
         raise ParameterError(f"fixture count must be at least 1, got {count}")
     import random
 
+    # imported when called, so a patch on these modules reaches the checks
     from . import oracles
     from .arr_kernels import asm_assemble, bandwidth, cmck, mperm, trmat
     from .core import csr_to_linked, csr_to_ortho, linked_to_csr, ortho_to_csr
     from .matio import gen_arrow, gen_spd
-    from .ptr_kernels import (PcgParams, dsolve, jacit, lu_factor_for_dsolve, pcg,
-                              spmatmat, spmatvec)
+    from .ptr_kernels import (dsolve, jacit, lu_factor_for_dsolve, pcg, spmatmat,
+                              spmatvec)
 
     rng = random.Random(seed)
-    labels = ["conversions", "spmatvec", "spmatmat", "jacit", "dsolve",
-              "trmat", "cmck", "mperm", "matrixmarket"]
-    bad = {k: "" for k in labels}
+    fixtures = ("fixtures", [(f"fixture {t}", (t, _dominant_fixture(rng)))
+                             for t in range(count)])
+    trials = ("fixtures", [(f"trial {t}", (t, gen_spd(rng.randint(6, 40),
+                                                      seed=rng.randint(0, 1 << 30))))
+                           for t in range(10)])
+    meshes = ("meshes", [(f"mesh {nx}x{ny}", (nx, ny))
+                         for nx, ny in [(2, 2), (3, 2), (4, 4), (5, 3)]])
+    sizes = ("sizes", [(f"n={n}", (n,)) for n in (50, 120)])
 
-    def note(label, why):
-        if not bad[label]:
-            bad[label] = why
-
-    for t in range(count):
-        m = _dominant_fixture(rng)
-        n = m.n_rows
-        dense = oracles.dense_of(m)
-
-        lk = csr_to_linked(m)
-        if linked_to_csr(lk) != m:
-            note("conversions", f"fixture {t}: linked round trip differs")
+    # one check per label: the failure text for one item, or None
+    def conversions(where, t, m):
+        if linked_to_csr(csr_to_linked(m)) != m:
+            return f"{where}: linked round trip differs"
         if ortho_to_csr(csr_to_ortho(m)) != m:
-            note("conversions", f"fixture {t}: orthogonal round trip differs")
-
-        x = probe_vector(n, salt=t)
-        if not _vec_close(spmatvec(lk, x), oracles.dense_matvec(dense, x), 1e-12):
-            note("spmatvec", f"fixture {t}: product differs")
-
-        k = 1 + t % 4
-        bmat = probe_dense(n, k)
-        got = spmatmat(lk, bmat)
-        want = oracles.dense_matmat(dense, bmat)
+            return f"{where}: orthogonal round trip differs"
+    def matvec(where, t, m):
+        x = probe_vector(m.n_rows, salt=t)
+        if not _vec_close(spmatvec(csr_to_linked(m), x),
+                          oracles.dense_matvec(oracles.dense_of(m), x), 1e-12):
+            return f"{where}: product differs"
+    def matmat(where, t, m):
+        bmat = probe_dense(m.n_rows, 1 + t % 4)
+        got = spmatmat(csr_to_linked(m), bmat)
+        want = oracles.dense_matmat(oracles.dense_of(m), bmat)
         if not all(_vec_close(g, w, 1e-12) for g, w in zip(got, want)):
-            note("spmatmat", f"fixture {t}: product differs")
-
-        rhs = probe_vector(n, salt=t + 1)
-        xj = jacit(lk, rhs, [0.0] * n, JacobiParams(iterations=3))
-        xd = [0.0] * n
+            return f"{where}: product differs"
+    def sweeps(where, t, m):
+        rhs, xd = probe_vector(m.n_rows, salt=t + 1), [0.0] * m.n_rows
+        xj = jacit(csr_to_linked(m), rhs, [0.0] * m.n_rows, JacobiParams(iterations=3))
         for _ in range(3):
-            xd = oracles.dense_jacobi_sweep(dense, rhs, xd)
+            xd = oracles.dense_jacobi_sweep(oracles.dense_of(m), rhs, xd)
         if not _vec_close(xj, xd, 1e-12):
-            note("jacit", f"fixture {t}: sweeps diverge from oracle")
-
-        lu = lu_factor_for_dsolve(m)
-        xs = dsolve(lu, rhs)
-        resid = [g - b for g, b in
-                 zip(oracles.dense_matvec(dense, xs), rhs)]
-        if any(abs(r) > 1e-9 * max(1.0, abs(b)) for r, b in zip(resid, rhs)):
-            note("dsolve", f"fixture {t}: residual too large")
+            return f"{where}: sweeps diverge from oracle"
+    def solve(where, t, m):
+        rhs, dense = probe_vector(m.n_rows, salt=t + 1), oracles.dense_of(m)
+        xs = dsolve(lu_factor_for_dsolve(m), rhs)
+        ax = oracles.dense_matvec(dense, xs)
+        if any(abs(a - b) > 1e-9 * max(1.0, abs(b)) for a, b in zip(ax, rhs)):
+            return f"{where}: residual too large"
         if not _vec_close(xs, oracles.dense_lu_solve(dense, rhs), 1e-9):
-            note("dsolve", f"fixture {t}: solution differs from oracle")
-
-        tm = trmat(m)
-        if tm != oracles.csr_of(oracles.dense_transpose(dense)):
-            note("trmat", f"fixture {t}: transpose differs")
-        if trmat(tm) != m:
-            note("trmat", f"fixture {t}: double transpose not identity")
-
+            return f"{where}: solution differs from oracle"
+    def transpose(where, t, m):
+        tr = trmat(m)
+        if tr != oracles.csr_of(oracles.dense_transpose(oracles.dense_of(m))):
+            return f"{where}: transpose differs"
+        if trmat(tr) != m:
+            return f"{where}: double transpose not identity"
+    def ordering(where, t, m):
+        if sorted(cmck(symmetrize_lower(m)).forward) != list(range(m.n_rows)):
+            return f"{where}: forward map is not a permutation"
+    def permute(where, t, m):
         sym = symmetrize_lower(m)
         perm = cmck(sym)
-        if sorted(perm.forward) != list(range(n)):
-            note("cmck", f"fixture {t}: forward map is not a permutation")
-
-        bsym, _bv = mperm(sym, perm, rhs)
-        dsym = oracles.dense_permute_sym(oracles.dense_of(sym), perm.forward)
-        if bsym != oracles.csr_of(dsym):
-            note("mperm", f"fixture {t}: permuted matrix differs")
-
+        got = mperm(sym, perm, probe_vector(m.n_rows, salt=t + 1))[0]
+        if got != oracles.csr_of(oracles.dense_permute_sym(oracles.dense_of(sym),
+                                                            perm.forward)):
+            return f"{where}: permuted matrix differs"
+    def file_round_trip(where, t, m):
         with tempfile.TemporaryDirectory() as tmp:
-            p = Path(tmp) / "rt.mtx"
-            matio.write_matrix_market(p, m)
-            back, _meta = read_matrix_market(p)
-            if back != m:
-                note("matrixmarket", f"fixture {t}: file round trip differs")
-
-    results = [(label, not bad[label],
-                f"{count} fixtures" if not bad[label] else bad[label])
-               for label in labels]
-
-    why = ""
-    for t in range(10):
-        spd = gen_spd(rng.randint(6, 40), seed=rng.randint(0, 1 << 30))
-        lks = csr_to_linked(spd)
+            matio.write_matrix_market(Path(tmp) / "rt.mtx", m)
+            if read_matrix_market(Path(tmp) / "rt.mtx")[0] != m:
+                return f"{where}: file round trip differs"
+    def residual(where, t, spd):
         b = probe_vector(spd.n_rows, salt=t)
-        xsol, used, rel = pcg(lks, b, PcgParams())
+        xsol, used, rel = pcg(csr_to_linked(spd), b, PcgParams())
         ax = oracles.dense_matvec(oracles.dense_of(spd), xsol)
         num = math.sqrt(sum((a - bb) ** 2 for a, bb in zip(ax, b)))
         den = math.sqrt(sum(bb * bb for bb in b))
         if abs(rel - num / den) > 1e-10 * max(1.0, rel):
-            why = why or f"trial {t}: reported residual {rel} vs recomputed {num / den}"
+            return f"{where}: reported residual {rel} vs recomputed {num / den}"
         if used < PcgParams().max_iterations and rel > PcgParams().tolerance:
-            why = why or f"trial {t}: stopped early above tolerance"
-    results.append(("pcg", not why, "10 fixtures" if not why else why))
-
-    why = ""
-    for nx, ny in [(2, 2), (3, 2), (4, 4), (5, 3)]:
+            return f"{where}: stopped early above tolerance"
+    def assembly(where, nx, ny):
         mesh = gen_tri_mesh(nx, ny)
-        kmat = asm_assemble(mesh)
-        want = oracles.dense_assemble(mesh)
-        got = oracles.dense_of(kmat)
+        got, want = oracles.dense_of(asm_assemble(mesh)), oracles.dense_assemble(mesh)
         diff = max(abs(a - b) for a, b in zip(got.cells, want.cells))
         if diff > 1e-12:
-            why = why or f"mesh {nx}x{ny}: max deviation {diff}"
-    results.append(("asm", not why, "4 meshes" if not why else why))
-
-    why = ""
-    for n in (50, 120):
-        banded = symmetrize_lower(matio.gen_pentadiagonal(n, seed=n))
-        pb = cmck(banded)
-        bw0 = bandwidth(banded)
-        bw1 = bandwidth(mperm(banded, pb, [0.0] * n)[0])
+            return f"{where}: max deviation {diff}"
+    def band(where, n):
+        def widths(m):
+            sym = symmetrize_lower(m)
+            return bandwidth(sym), bandwidth(mperm(sym, cmck(sym), [0.0] * n)[0])
+        bw0, bw1 = widths(matio.gen_pentadiagonal(n, seed=n))
         if bw1 > bw0:
-            why = why or f"banded n={n}: bandwidth grew {bw0} -> {bw1}"
-        arrow = symmetrize_lower(gen_arrow(n, seed=n))
-        pa = cmck(arrow)
-        aw0 = bandwidth(arrow)
-        aw1 = bandwidth(mperm(arrow, pa, [0.0] * n)[0])
+            return f"banded {where}: bandwidth grew {bw0} -> {bw1}"
+        aw0, aw1 = widths(gen_arrow(n, seed=n))
         if aw1 >= aw0:
-            why = why or f"arrow n={n}: bandwidth not reduced {aw0} -> {aw1}"
-    results.append(("cmck_bandwidth", not why, "2 sizes" if not why else why))
+            return f"arrow {where}: bandwidth not reduced {aw0} -> {aw1}"
 
+    results = []
+    for label, (noun, items), check in [
+            ("conversions", fixtures, conversions), ("spmatvec", fixtures, matvec),
+            ("spmatmat", fixtures, matmat), ("jacit", fixtures, sweeps),
+            ("dsolve", fixtures, solve), ("trmat", fixtures, transpose),
+            ("cmck", fixtures, ordering), ("mperm", fixtures, permute),
+            ("matrixmarket", fixtures, file_round_trip), ("pcg", trials, residual),
+            ("asm", meshes, assembly), ("cmck_bandwidth", sizes, band)]:
+        why = None
+        for where, item in items:
+            try:
+                why = check(where, *item)
+            except Exception as exc:
+                why = _failure(where, exc)
+            if why:
+                break
+        results.append((label, not why, why or f"{len(items)} {noun}"))
     return results
 
 
@@ -1229,7 +1237,7 @@ def verify_matrix(data_dir, name: str) -> tuple:
                 if not _checksums_match(got["checksums"], ref):
                     failed[bname] = f"{bname}: checksum mismatch"
             except Exception as exc:
-                failed[bname] = f"{bname}: {type(exc).__name__}: {exc}".splitlines()[0]
+                failed[bname] = _failure(bname, exc)
     problems.extend(failed[b] for b in benches if b in failed)
     if problems:
         return label, False, "; ".join(problems)

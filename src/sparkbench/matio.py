@@ -541,17 +541,19 @@ FAMILIES = {
 
 def write_families(data_dir, orders: dict, seed: int, mesh) -> list:
     """Write ``<name><n>s<seed>.mtx`` for each (name, n) in ``orders``, then,
-    given ``mesh = (nx, ny)``, ``mesh<nx>x<ny>.txt``; returns the paths."""
+    given ``mesh = (nx, ny)``, ``mesh<nx>x<ny>.txt``; returns the paths.
+
+    Every matrix and the mesh are built before the first file is written,
+    so an order or a mesh size that fails leaves nothing behind.
+    """
+    built = [(f"{name}{n}s{seed}", FAMILIES[name][1](n, seed), FAMILIES[name][2])
+             for name, n in orders.items()]
+    grid = None if mesh is None else gen_tri_mesh(*mesh)
     Path(data_dir).mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, n in orders.items():
-        _, generate, symmetry = FAMILIES[name]
-        written.append(_write(data_dir, f"{name}{n}s{seed}",
-                              generate(n, seed), symmetry))
-    if mesh is not None:
-        nx, ny = mesh
-        p = Path(data_dir, f"mesh{nx}x{ny}.txt")
-        write_mesh(p, gen_tri_mesh(nx, ny))
+    written = [_write(data_dir, *matrix) for matrix in built]
+    if grid is not None:
+        p = Path(data_dir, f"mesh{mesh[0]}x{mesh[1]}.txt")
+        write_mesh(p, grid)
         written.append(p)
     return written
 

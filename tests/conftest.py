@@ -30,6 +30,19 @@ def other_interpreter(minor):
     return None
 
 
+def raising_on_second_call(kernel):
+    """``kernel``, but raising IndexError, with a two-line message, on its
+    second call: in ``verify_fixtures`` that is fixture 1."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise IndexError("list index out of range\nsecond line")
+        return kernel(*args)
+    return wrapped
+
+
 @pytest.fixture()
 def tiny_data(tmp_path):
     data = tmp_path / "data"

@@ -1,17 +1,20 @@
 """The runner side of a cell and its split from the parent's references."""
 
 import dataclasses
+import dis
 import gc
+import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import csr_matrices, other_interpreter
-from sparkbench import harness
+from sparkbench import arr_kernels, cells, core, harness, ptr_kernels
 from sparkbench.cells import load_input, measure, read_csr, run_job
 from sparkbench.core import CsrMatrix
 from sparkbench.harness import (
@@ -179,3 +182,42 @@ def test_the_runner_returns_only_run_times_and_checksums(tiny_data):
         payload = run_job(prep.job("TRMAT", "tiny", 0, 3))
     assert payload.keys() == {"runs", "checksums"}
     assert len(payload["runs"]) == 3
+
+
+# --- the default configurations are A/A controls -----------------------------
+
+def _functions(code):
+    """The code of every function under ``code``, keyed by where it starts;
+    class bodies are walked, not returned."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                yield (const.co_firstlineno, const.co_name), const
+            yield from _functions(const)
+
+
+def _instructions(code):
+    """``code``'s instructions without NOPs, jump targets and nested code
+    objects' identity (only their names)."""
+    jumps = set(dis.hasjrel) | set(dis.hasjabs)
+    return [(ins.opname, None if ins.opcode in jumps
+             else ins.argval.co_name if isinstance(ins.argval, types.CodeType)
+             else ins.argval)
+            for ins in dis.get_instructions(code)
+            if ins.opname not in ("NOP", "EXTENDED_ARG")]
+
+
+@pytest.mark.parametrize("module", [ptr_kernels, arr_kernels, core, cells],
+                         ids=lambda module: module.__name__)
+def test_opt1_and_opt2_compile_the_same_code_as_base(module):
+    # no assert and no __debug__, so -O and -OO time base's bytecode: their
+    # speedups over base are the noise floor, not results
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    base, opt1, opt2 = (
+        dict(_functions(compile(source, module.__file__, "exec", optimize=level)))
+        for level in (0, 1, 2))
+    assert base.keys() == opt1.keys() == opt2.keys() and base
+    for where, code in base.items():
+        assert opt1[where].co_code == code.co_code, where
+        # -OO drops docstrings: a NOP is left where each was, shifting jumps
+        assert _instructions(opt2[where]) == _instructions(code), where

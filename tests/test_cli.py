@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from sparkbench import matio
+from conftest import raising_on_second_call
+from sparkbench import matio, ptr_kernels
 from sparkbench.cli import main
 from sparkbench.core import ParameterError
 from sparkbench.matio import gen_spd, matrix_path, write_matrix_market
@@ -74,6 +75,17 @@ def test_gen_rejects_order_zero(flag, tmp_path, capsys):
     assert code == 1
     assert "error: n must be positive" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.mtx"))
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--banded", "0", "--mesh", "0", "2"], "n must be positive"),
+    (["--mesh", "0", "2"], "nx and ny must be at least 1"),
+])
+def test_gen_writes_nothing_when_an_order_fails(args, error, tmp_path, capsys):
+    out = tmp_path / "gm"
+    assert main(["gen", "--data-dir", str(out), "--spd", "12", *args]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_a_failing_standin_fails_gen(tmp_path, monkeypatch, capsys):
@@ -287,6 +299,20 @@ def test_verify_continues_past_a_malformed_matrix(tmp_path, capsys):
     assert out[i].startswith("FAIL scale:add32: MatrixMarketError: ")
     assert out[:i] + out[i + 1:-1] == clean[:i] + clean[i + 1:-1]
     assert out[-1].endswith(" passed, 1 failed, 4 skipped")
+
+
+def test_verify_reports_every_line_past_a_raising_kernel(tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(ptr_kernels, "spmatmat",
+                        raising_on_second_call(ptr_kernels.spmatmat))
+    code = main(["verify", "--data-dir", str(tmp_path / "none"), "--fixtures", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "FAIL spmatmat: fixture 1: IndexError: list index out of range" in out
+    assert sum(line.startswith("PASS ") for line in out) == 11
+    assert [line for line in out if line.startswith("SKIP scale:")] == [
+        f"SKIP scale:{name}: not generated; skipped" for name in matio.MATRIX_NAMES]
+    assert out[-1] == "verify: 11 passed, 1 failed, 5 skipped"
 
 
 def test_verify_output_is_deterministic(tmp_path):

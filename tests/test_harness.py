@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FLOATS, build_with_gc_off, csr_matrices, row_major
+from conftest import (FLOATS, build_with_gc_off, csr_matrices, raising_on_second_call,
+                      row_major)
 from sparkbench import arr_kernels, cells, core, harness, matio, ptr_kernels
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
 from sparkbench.core import ParameterError, Permutation, build_ortho
@@ -489,6 +490,20 @@ def test_aggregate_skips_cells_without_base(tmp_path):
     out, warnings = aggregate(root)
     assert len(warnings) == 1 and "CMCK" in warnings[0]
     assert "CMCK" not in out.read_text()
+
+
+def test_aggregate_pairs_only_cells_measured_under_one_policy(tmp_path):
+    root = tmp_path / "results"
+    for cid, policy, sec in (("base", TimingPolicy(1, 3, "median"), 0.0078),
+                             ("opt1", TimingPolicy(0, 3, "min"), 0.0071)):
+        write_time_file(time_file_path(root, cid, "TRMAT", "sherman3"), {
+            **make_payload(cid, "TRMAT", "sherman3", sec),
+            **dataclasses.asdict(policy)})
+    out, warnings = aggregate(root)
+    assert out.read_text() == "base TRMAT sherman3 0.007800 0.007800\n"
+    assert warnings == [
+        "policy differs from base for TRMAT sherman3 (warmup_runs 0 vs 1, "
+        "aggregator 'min' vs 'median'); skipping opt1"]
 
 
 def test_time_file_write_leaves_no_temporary(tmp_path):
@@ -1034,6 +1049,15 @@ def test_verify_fixtures_names_the_first_failure_of_a_broken_kernel(
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     results = verify_fixtures(seed=2024, count=3)
     assert [r for r in results if not r[1]] == failures
+    assert len(results) == 12
+
+
+def test_verify_fixtures_fails_only_the_label_of_a_raising_kernel(monkeypatch):
+    monkeypatch.setattr(ptr_kernels, "spmatmat",
+                        raising_on_second_call(ptr_kernels.spmatmat))
+    results = verify_fixtures(seed=2024, count=3)
+    assert [r for r in results if not r[1]] == [
+        ("spmatmat", False, "fixture 1: IndexError: list index out of range")]
     assert len(results) == 12
 
 
