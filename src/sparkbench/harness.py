@@ -1109,10 +1109,11 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
         if not all(_vec_close(g, w, 1e-12) for g, w in zip(got, want)):
             return f"{where}: product differs"
     def sweeps(where, t, m):
-        rhs, xd = probe_vector(m.n_rows, salt=t + 1), [0.0] * m.n_rows
+        rhs, dense = probe_vector(m.n_rows, salt=t + 1), oracles.dense_of(m)
         xj = jacit(csr_to_linked(m), rhs, [0.0] * m.n_rows, JacobiParams(iterations=3))
+        xd = [0.0] * m.n_rows
         for _ in range(3):
-            xd = oracles.dense_jacobi_sweep(oracles.dense_of(m), rhs, xd)
+            xd = oracles.dense_jacobi_sweep(dense, rhs, xd)
         if not _vec_close(xj, xd, 1e-12):
             return f"{where}: sweeps diverge from oracle"
     def solve(where, t, m):

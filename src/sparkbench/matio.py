@@ -546,14 +546,16 @@ def write_families(data_dir, orders: dict, seed: int, mesh) -> list:
     Every matrix and the mesh are built before the first file is written,
     so an order or a mesh size that fails leaves nothing behind.
     """
-    built = [(f"{name}{n}s{seed}", FAMILIES[name][1](n, seed), FAMILIES[name][2])
-             for name, n in orders.items()]
-    grid = None if mesh is None else gen_tri_mesh(*mesh)
+    built = []
+    for name, n in orders.items():
+        _, generate, symmetry = FAMILIES[name]
+        built.append((f"{name}{n}s{seed}", generate(n, seed), symmetry))
+    tri = None if mesh is None else gen_tri_mesh(*mesh)
     Path(data_dir).mkdir(parents=True, exist_ok=True)
     written = [_write(data_dir, *matrix) for matrix in built]
-    if grid is not None:
+    if tri is not None:
         p = Path(data_dir, f"mesh{mesh[0]}x{mesh[1]}.txt")
-        write_mesh(p, grid)
+        write_mesh(p, tri)
         written.append(p)
     return written
 

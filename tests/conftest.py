@@ -3,6 +3,7 @@ the hypothesis strategy for CSR matrices, other installed interpreters
 and the helpers that check a builder's node allocation order."""
 
 import gc
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -33,11 +34,10 @@ def other_interpreter(minor):
 def raising_on_second_call(kernel):
     """``kernel``, but raising IndexError, with a two-line message, on its
     second call: in ``verify_fixtures`` that is fixture 1."""
-    calls = []
+    calls = itertools.count(1)
 
     def wrapped(*args):
-        calls.append(args)
-        if len(calls) == 2:
+        if next(calls) == 2:
             raise IndexError("list index out of range\nsecond line")
         return kernel(*args)
     return wrapped
