@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SparkBenchError as exc:
+    except (SparkBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

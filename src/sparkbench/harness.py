@@ -18,9 +18,9 @@ The reference implementations used for the admission gate live here, not
 in the dense oracle module: they must scale to the full-size inputs, so
 they are built on numpy/scipy instead of brute-force dense loops. They
 share no code with the kernels and never run in a cell's interpreter.
-Kernels run in this process only to be checked: ``verify_fixtures`` on
-small fixtures, ``verify_matrix`` for seven of its eight gates, through
-``run_job``, and ``execute_cell`` for its one cell. A grid computes the
+Kernels run in this process only to be checked, on inputs a reference
+made: ``verify_fixtures`` on small fixtures and ``verify_matrix`` for
+seven of its eight gates, through ``run_job``. A grid computes the
 references once per (benchmark, matrix), from one load of each matrix,
 before its first cell. That load is the only parse of the matrix: its
 CSR arrays, and what the references build on the way (DSOLVE's sparse LU
@@ -592,17 +592,14 @@ def prepare(benchmarks: list, matrices: list, data_dir, configs=()) -> Prepared:
 # --- cells ----------------------------------------------------------------------
 
 def execute_cell(benchmark: str, matrix: str, data_dir, policy: TimingPolicy) -> dict:
-    """Run and gate one (benchmark, matrix) cell in this process.
-
-    The same runner-side job and parent-side admission as a subprocess
-    cell, without the spawn. Returns the cell's record; a rejected cell
-    raises ``OracleMismatchError``.
+    """Run and gate one (benchmark, matrix) cell as a grid does, in a
+    child of a ``base`` runner. Returns ``run_cell_subprocess``' record;
+    a rejected cell raises ``OracleMismatchError``.
     """
     check_cell(benchmark, matrix)
-    with prepare([benchmark], [matrix], data_dir) as prep:
-        ref = prep.reference(benchmark, matrix)
-        job = prep.job(benchmark, matrix, policy.warmup_runs, policy.measured_runs)
-        return _admit(benchmark, matrix, policy, run_job(job), ref)
+    base = DEFAULT_CONFIGS[0]
+    with prepare([benchmark], [matrix], data_dir, [base]) as prep:
+        return run_cell_subprocess(benchmark, matrix, base, policy, prep)
 
 
 def _runner_command(config: BenchConfig) -> list:
@@ -1131,14 +1128,14 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
         if trmat(tr) != m:
             return f"{where}: double transpose not identity"
     def ordering(where, t, m):
-        if sorted(cmck(symmetrize_lower(m)).forward) != list(range(m.n_rows)):
-            return f"{where}: forward map is not a permutation"
+        op = _Operands(m)
+        if cmck(op.sym).forward != op.perm.forward:
+            return f"{where}: order differs from the reference"
     def permute(where, t, m):
-        sym = symmetrize_lower(m)
-        perm = cmck(sym)
-        got = mperm(sym, perm, probe_vector(m.n_rows, salt=t + 1))[0]
-        if got != oracles.csr_of(oracles.dense_permute_sym(oracles.dense_of(sym),
-                                                            perm.forward)):
+        op = _Operands(m)
+        got = mperm(op.sym, op.perm, probe_vector(m.n_rows, salt=t + 1))[0]
+        if got != oracles.csr_of(oracles.dense_permute_sym(oracles.dense_of(op.sym),
+                                                            op.perm.forward)):
             return f"{where}: permuted matrix differs"
     def file_round_trip(where, t, m):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1164,7 +1161,9 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
     def band(where, n):
         def widths(m):
             sym = symmetrize_lower(m)
-            return bandwidth(sym), bandwidth(mperm(sym, cmck(sym), [0.0] * n)[0])
+            fwd = cmck(sym).forward
+            return bandwidth(sym), bandwidth(CsrMatrix.from_triples(
+                n, n, [(fwd[i], fwd[j], v) for i, j, v in sym.triples()]))
         bw0, bw1 = widths(matio.gen_pentadiagonal(n, seed=n))
         if bw1 > bw0:
             return f"banded {where}: bandwidth grew {bw0} -> {bw1}"

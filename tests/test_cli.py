@@ -130,6 +130,15 @@ def test_inspect_unknown_name(tmp_path, capsys):
     assert "no published characteristics" in out
 
 
+@pytest.mark.parametrize("args", [["report", "--spark-dat", "nope.dat"],
+                                  ["inspect", "nope.mtx"]])
+def test_a_missing_input_file_is_one_error_line(tmp_path, args):
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_run_aggregate_report_flow(tiny_tree):
     data = tiny_tree / "data"
     results = tiny_tree / "results"

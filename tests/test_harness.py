@@ -21,7 +21,7 @@ from conftest import (FLOATS, build_with_gc_off, csr_matrices, raising_on_second
                       row_major)
 from sparkbench import arr_kernels, cells, core, harness, matio, ptr_kernels
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
-from sparkbench.core import ParameterError, Permutation, build_ortho
+from sparkbench.core import CsrMatrix, ParameterError, Permutation, build_ortho
 from sparkbench.harness import (
     BENCHMARKS,
     BENCHMARK_ORDER,
@@ -200,6 +200,17 @@ def test_execute_cell_measures_and_gates(tiny_data):
     assert payload["checksums"].keys() == payload["ref_checksums"].keys()
 
 
+def test_execute_cell_runs_its_kernel_in_a_fresh_runner(tiny_data, monkeypatch):
+    # the patch lives in this process only; the runner imports its own kernels
+    def broken(*args):
+        raise AssertionError("the parent ran the kernel")
+    monkeypatch.setitem(cells.BENCHMARKS, "SPMATVEC",
+                        dataclasses.replace(cells.BENCHMARKS["SPMATVEC"], run=broken))
+    record = execute_cell("SPMATVEC", "tiny", tiny_data, FAST)
+    assert (record["config"], len(record["runs"])) == ("base", 3)
+    assert _checksums_match(record["checksums"], record["ref_checksums"])
+
+
 def test_execute_cell_rejects_mismatched_shapes(tiny_data):
     with pytest.raises(HarnessError):
         execute_cell("NOSUCH", "tiny", tiny_data, FAST)
@@ -375,9 +386,33 @@ def test_a_short_factor_part_fails_the_dsolve_cell(tiny_data, tmp_path, monkeypa
     assert f"cells.HarnessError: factor part tiny.lu.{part} has" in err.read_text()
 
 
-# MPERM's input is the reference order that gates CMCK: this keeps it the
-# order the kernel computes, on patterns with empty rows and no diagonal.
-@given(m=csr_matrices(square=True).map(symmetrize_lower))
+@st.composite
+def _components(draw):
+    """A symmetric pattern of several components under a random relabeling.
+    Each component is a ring (a lone node when its size is 1) with a few
+    chords, so many degrees tie; the diagonal is there or not."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(sizes)
+    label = draw(st.permutations(range(n)))
+    edges, start = set(), 0
+    for size in sizes:
+        ring = range(start, start + size)
+        edges |= {(v, start + (v - start + 1) % size) for v in ring if size > 1}
+        edges |= draw(st.sets(st.tuples(st.sampled_from(ring), st.sampled_from(ring)),
+                              max_size=size // 2))
+        start += size
+    if draw(st.booleans()):
+        edges |= {(v, v) for v in range(n)}
+    pairs = {(label[i], label[j]) for i, j in edges}
+    return CsrMatrix.from_triples(n, n, [(i, j, 1.0) for i, j in
+                                         pairs | {(j, i) for i, j in pairs}])
+
+
+# MPERM's input is the reference order, and the grid's CMCK gate and
+# verify's cmck label compare the kernel with it: this keeps it the order
+# the kernel computes, on any pattern (empty rows, no diagonal) and on
+# several components with many ties in degree.
+@given(m=st.one_of(csr_matrices(square=True).map(symmetrize_lower), _components()))
 def test_reference_cm_agrees_with_kernel(m):
     assert _reference_cm(m.n_rows, m.row_ptr, m.col_ind) == cmck(m).forward
 
@@ -1037,8 +1072,10 @@ _BREAKS = [
      [("matrixmarket", False, "fixture 0: file round trip differs")]),
     (arr_kernels, "asm_assemble", lambda f: lambda mesh: _shifted(f(mesh)),
      [("asm", False, "mesh 2x2: max deviation 1.0")]),
+    # the identity order is a permutation, but not the reference order
     (arr_kernels, "cmck", lambda f: lambda m, *a: Permutation(list(range(m.n_rows))),
-     [("cmck_bandwidth", False, "arrow n=50: bandwidth not reduced 49 -> 49")]),
+     [("cmck", False, "fixture 2: order differs from the reference"),
+      ("cmck_bandwidth", False, "arrow n=50: bandwidth not reduced 49 -> 49")]),
 ]
 
 
@@ -1059,6 +1096,18 @@ def test_verify_fixtures_fails_only_the_label_of_a_raising_kernel(monkeypatch):
     assert [r for r in results if not r[1]] == [
         ("spmatmat", False, "fixture 1: IndexError: list index out of range")]
     assert len(results) == 12
+
+
+# MPERM permutes by the reference order, so a broken CMCK cannot fail it
+@pytest.mark.parametrize("name, labels", [("cmck", ["cmck", "cmck_bandwidth"]),
+                                          ("mperm", ["mperm"])])
+def test_verify_fixtures_fails_only_the_labels_of_a_raising_ordering_kernel(
+        name, labels, monkeypatch):
+    def broken(*args):
+        raise RuntimeError(f"{name} is broken")
+    monkeypatch.setattr(arr_kernels, name, broken)
+    results = verify_fixtures(seed=2024, count=3)
+    assert [label for label, ok, _ in results if not ok] == labels
 
 
 def test_verify_fixtures_checks_cmck_on_the_banded_family(monkeypatch):
