@@ -26,10 +26,9 @@ before its first cell. That load is the only parse of the matrix: its
 CSR arrays, and what the references build on the way (DSOLVE's sparse LU
 factor, the Cuthill-McKee order that gates CMCK and is MPERM's ordering,
 ASM's mesh with the pattern and slots of its assembly), are handed to
-the cells as raw arrays. ``Prepared`` is the one way to make them:
-DSOLVE's reference and factor come from a forked helper process that
-reads the CSR arrays the parent wrote, and the runners start and import
-while the parent prepares everything else. ``verify_matrix`` prepares
+the cells as raw arrays. ``Prepared`` is the one way to make them, all
+in this process, while the runners start and import: DSOLVE's factor
+first, dropped once its arrays are written. ``verify_matrix`` prepares
 through it too and gates DSOLVE as a grid cell, in a child of a ``base``
 runner, so the parent never builds a node per entry of DSOLVE's factor.
 """
@@ -39,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import re
 import shlex
@@ -47,7 +45,6 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,7 +72,6 @@ from .cells import (
     pcg_params,
     probe_dense,
     probe_vector,
-    read_csr,
     run_job,
     weighted_checksum,
 )
@@ -445,28 +441,19 @@ ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
 
 # --- prepared inputs ------------------------------------------------------------
 
-# The benchmark whose reference and inputs a forked helper prepares.
-_HELPED = "DSOLVE"
-
-
 def _prepare_input(name: str, op: _Operands, input_dir, matrix: str) -> dict:
     """Benchmark ``name``'s reference on ``op``; writes every input its
-    cells read other than the matrix's CSR arrays."""
+    cells read other than the matrix's CSR arrays. DSOLVE's factor is
+    dropped from ``op`` once it is written."""
     bench = BENCHMARKS[name]
     ref = bench.reference(op)
     for kind in bench.inputs:
         if kind == "lu":
             _write_factor(op.lu, input_dir, matrix)
+            del op.lu
         elif kind != "csr":
             _write_input(input_dir, matrix, kind, vars(getattr(op, kind)))
     return ref
-
-
-def _factor_task(input_dir, matrix: str) -> dict:
-    """A helper's task: DSOLVE's reference and factor of the matrix whose
-    CSR arrays the parent wrote into ``input_dir``."""
-    return _prepare_input(_HELPED, _Operands(read_csr(input_dir, matrix)),
-                          input_dir, matrix)
 
 
 def _outcome(fn, *args):
@@ -478,18 +465,16 @@ def _outcome(fn, *args):
 
 
 class Prepared:
-    """The parent's inputs, helpers and runners for the cells of one run;
-    a context manager.
+    """The parent's inputs and runners for the cells of one run; a
+    context manager.
 
     ``loaded`` maps each matrix name to its ``CsrMatrix``, or to the
     exception loading it raised. The constructor writes each matrix's
-    CSR arrays and, if ``benchmarks`` has DSOLVE, forks helpers that make
-    DSOLVE's reference and factor of each matrix (one per usable CPU but
-    one, at most one per matrix) before anything else grows this
-    process. It then starts one runner per entry of ``configs``, so each
-    imports while this process makes every other reference and input.
-    Last, it waits for the helpers and stops them, so none runs while a
-    cell is timed.
+    CSR arrays, then starts one runner per entry of ``configs``, so each
+    imports while this process makes the references and inputs. DSOLVE's
+    come first, before ASM's mesh and the other references grow this
+    process: its sparse LU factor, the largest operand, is dropped as
+    soon as its arrays are written.
 
     ``refs`` maps (benchmark, matrix) to its reference checksums, or to
     the exception preparing them raised; that cell then fails with it.
@@ -508,38 +493,23 @@ class Prepared:
             self.input_dir = Path(self._exit.enter_context(
                 tempfile.TemporaryDirectory(prefix="sparkbench-")))
             by_matrix = [b for b in benchmarks if BENCHMARKS[b].needs_matrix]
-            ops = {}
+            cells = [(b, "none", _Operands(None))
+                     for b in benchmarks if b not in by_matrix]
             for matrix, m in loaded.items():
                 if isinstance(m, Exception):
                     self.refs.update({(b, matrix): m for b in by_matrix})
                 else:
                     _write_matrix(m, self.input_dir, matrix)
-                    ops[matrix] = _Operands(m)
-            helpers, tasks = None, {}
-            if _HELPED in by_matrix and ops:
-                workers = max(1, min(len(ops), len(os.sched_getaffinity(0)) - 1))
-                helpers = ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"))
-                self._exit.callback(helpers.shutdown, cancel_futures=True)
-                tasks = {matrix: _outcome(helpers.submit, _factor_task,
-                                          self.input_dir, matrix) for matrix in ops}
+                    op = _Operands(m)
+                    cells += [(b, matrix, op) for b in by_matrix]
             for config in configs:
                 try:
                     self.runner(config)
                 except OSError:  # its cells fail when they start it again
                     pass
-            none = _Operands(None)
-            in_process = [(b, "none", none) for b in benchmarks if b not in by_matrix]
-            in_process += [(b, matrix, op) for matrix, op in ops.items()
-                           for b in by_matrix if b != _HELPED]
-            for name, matrix, op in in_process:
+            for name, matrix, op in sorted(cells, key=lambda c: c[0] != "DSOLVE"):
                 self.refs[(name, matrix)] = _outcome(_prepare_input, name, op,
                                                      self.input_dir, matrix)
-            for matrix, task in tasks.items():
-                self.refs[(_HELPED, matrix)] = (
-                    task if isinstance(task, Exception) else _outcome(task.result))
-            if helpers is not None:
-                helpers.shutdown()
             self._exit = self._exit.pop_all()
 
     def __enter__(self):
@@ -1201,9 +1171,8 @@ def verify_matrix(data_dir, name: str) -> tuple:
     ``base`` configuration, that imports while the references are made.
     DSOLVE runs as a grid cell does, in a child of that runner, so this
     process never builds its storage of a node per factor entry. Its job
-    goes out once ``Prepared`` has its factor, and the other kernels run
-    here, through ``run_job``, while that child runs; DSOLVE is gated
-    last. The detail keeps ``BENCHMARK_ORDER``, one line per failing
+    goes out first, and the other kernels run here, through ``run_job``,
+    while that child runs; DSOLVE is gated last. The detail keeps ``BENCHMARK_ORDER``, one line per failing
     kernel.
     Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
@@ -1225,12 +1194,12 @@ def verify_matrix(data_dir, name: str) -> tuple:
     failed = {}
     with Prepared(benches, {name: m}, [base]) as prep:
         runner = prep.runner(base)
-        if not isinstance(prep.refs[(_HELPED, name)], Exception):
-            runner.send(prep.job(_HELPED, name, 0, 1))
-        for bname in sorted(benches, key=lambda b: b == _HELPED):
+        if not isinstance(prep.refs[("DSOLVE", name)], Exception):
+            runner.send(prep.job("DSOLVE", name, 0, 1))
+        for bname in sorted(benches, key=lambda b: b == "DSOLVE"):
             try:
                 ref = prep.reference(bname, name)
-                if bname == _HELPED:
+                if bname == "DSOLVE":
                     got = _payload(bname, name, base, runner.reply())
                 else:
                     got = run_job(prep.job(bname, name, 0, 1))

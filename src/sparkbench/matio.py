@@ -156,6 +156,8 @@ def read_matrix_market(path) -> tuple:
             raise MatrixMarketError(f"{path}:{lineno}: missing size line")
         try:
             n_rows, n_cols, declared = (int(t) for t in size_line.split())
+            if min(n_rows, n_cols, declared) < 0:
+                raise ValueError
         except ValueError:
             raise MatrixMarketError(
                 f"{path}:{lineno}: bad size line {size_line!r}") from None

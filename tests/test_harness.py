@@ -5,7 +5,6 @@ import gc
 import itertools
 import math
 import multiprocessing
-import os
 import re
 import shlex
 import subprocess
@@ -366,7 +365,7 @@ def test_dsolve_setup_peaks_near_the_storage_it_keeps(tmp_path):
 
 
 def _short_factor(monkeypatch, part):
-    """Make the helper write the factor without ``part``'s last entry."""
+    """Make ``Prepared`` write the factor without ``part``'s last entry."""
     def write_short(lu_obj, input_dir, matrix):
         _write_factor(lu_obj, input_dir, matrix)
         path = input_path(input_dir, matrix, "lu", part)
@@ -739,8 +738,9 @@ def test_verify_matrix_starts_its_runner_before_the_references(
 def test_no_runner_outlives_prepare(tiny_data, started):
     with pytest.raises(RuntimeError, match="stop"):
         with prepare(["TRMAT", "DSOLVE"], ["tiny"], tiny_data) as prep:
-            # the factorization helper is done before any cell runs
-            assert multiprocessing.active_children() == []
+            # every reference is made in this process: prepare with no
+            # configuration starts no process, and a cell starts its runner
+            assert started == [] and multiprocessing.active_children() == []
             for config in (BenchConfig("base"), BenchConfig("opt1", "-O")):
                 harness.run_cell_subprocess("TRMAT", "tiny", config, FAST, prep)
             assert all(p.poll() is None for p in started)
@@ -785,7 +785,7 @@ def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch, started):
 def test_verify_matrix_never_builds_dsolves_storage_in_this_process(tiny_data,
                                                                    monkeypatch):
     # the runner's child is a fresh interpreter: the patch reaches only
-    # this process and the helper it forks
+    # this process
     def build_ortho(*args):
         raise AssertionError("DSOLVE's storage built in the parent")
     monkeypatch.setattr(cells, "build_ortho", build_ortho)
@@ -822,10 +822,10 @@ def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
         "FileNotFoundError: ")
 
 
-# --- the factorization helper ---------------------------------------------------
+# --- the factorization ----------------------------------------------------------
 
 def _singular(monkeypatch):
-    """Make every factorization fail; a forked helper inherits the patch."""
+    """Make every factorization in this process fail."""
     def splu(a):
         raise RuntimeError("Factor is exactly singular")
     monkeypatch.setattr(harness, "splu", splu)
@@ -849,22 +849,25 @@ def test_verify_matrix_names_a_failing_factorization(tiny_data, monkeypatch):
         "scale:tiny", False, "DSOLVE: RuntimeError: Factor is exactly singular")
 
 
-def test_a_dying_helper_fails_only_the_dsolve_cells(tiny_data, tmp_path, monkeypatch):
-    parent = os.getpid()
+def test_a_failing_factorization_fails_only_its_matrixs_dsolve_cell(
+        tiny_data, tmp_path, monkeypatch):
+    factor = harness.splu
 
     def splu(a):
-        assert os.getpid() != parent, "the parent factored"
-        os._exit(3)
+        if a.shape[0] == 30:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(a)
     monkeypatch.setattr(harness, "splu", splu)
     write_matrix_market(matrix_path(tiny_data, "tiny2"), gen_spd(30, seed=5),
                         symmetry="symmetric")
+    root = tmp_path / "results"
     outcomes = run_suite([BenchConfig("base")], ["DSOLVE", "TRMAT", "ASM"],
-                         ["tiny", "tiny2"], FAST, tiny_data, tmp_path / "results")
+                         ["tiny", "tiny2"], FAST, tiny_data, root)
     assert [(b, m, s) for _, b, m, s in outcomes] == [
-        ("DSOLVE", "tiny", "failed: BrokenProcessPool"),
-        ("DSOLVE", "tiny2", "failed: BrokenProcessPool"),
+        ("DSOLVE", "tiny", "ok"), ("DSOLVE", "tiny2", "failed: RuntimeError"),
         ("TRMAT", "tiny", "ok"), ("TRMAT", "tiny2", "ok"), ("ASM", "none", "ok")]
-    assert multiprocessing.active_children() == []
+    err = time_file_path(root, "base", "DSOLVE", "tiny2").with_suffix(".err")
+    assert err.read_text().startswith("RuntimeError: Factor is exactly singular")
 
 
 def test_the_helper_writes_the_in_process_factor_and_reference(tiny_data, tmp_path):

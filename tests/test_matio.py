@@ -95,6 +95,10 @@ def test_read_symmetric_mirrors_lower(tmp_path):
     ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5\n",
      "upper"),
     ("not a header\n1 1 1\n1 1 1\n", "header"),
+    ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n",
+     "m.mtx:2: bad size line '-2 2 0'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 -2 0\n",
+     "m.mtx:2: bad size line '2 -2 0'"),
 ])
 def test_read_rejects_malformed(tmp_path, body, fragment):
     p = write_text(tmp_path, body)

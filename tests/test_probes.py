@@ -40,3 +40,15 @@ def test_the_full_probe_set_installs_and_undoes(tmp_path):
     # the probe calls a cell with five positional arguments
     params = inspect.signature(harness.run_cell_subprocess).parameters.values()
     assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 5
+
+
+def test_the_light_probe_set_sees_every_reference_in_this_process(tiny_data):
+    probes = _probes()
+    tracer = probes.Tracer()
+    patches = probes.install(tracer, full=False)
+    try:
+        with harness.prepare(["DSOLVE"], ["tiny"], tiny_data):
+            pass
+    finally:
+        patches.undo()
+    assert [s["name"] for s in tracer.spans] == ["harness.reference.DSOLVE"]
