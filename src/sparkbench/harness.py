@@ -1172,8 +1172,8 @@ def verify_matrix(data_dir, name: str) -> tuple:
     DSOLVE runs as a grid cell does, in a child of that runner, so this
     process never builds its storage of a node per factor entry. Its job
     goes out first, and the other kernels run here, through ``run_job``,
-    while that child runs; DSOLVE is gated last. The detail keeps ``BENCHMARK_ORDER``, one line per failing
-    kernel.
+    while that child runs; DSOLVE is gated last. The detail keeps
+    ``BENCHMARK_ORDER``, one line per failing kernel.
     Returns (label, ok, detail) where ok is None when the matrix
     file has not been generated, and False when it cannot be parsed.
     """

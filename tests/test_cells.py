@@ -106,7 +106,6 @@ def test_run_suite_computes_each_reference_once(tiny_data, tmp_path, monkeypatch
     calls = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
     assert sorted(n for n, _ in calls) == sorted(["SPMATVEC", "DSOLVE", "MPERM"] * 2
                                                  + ["ASM"])
-    # every one in this process
     assert {pid for _, pid in calls} == {str(os.getpid())}
     assert loads == ["tiny", "tiny2"]
 
