@@ -225,45 +225,50 @@ class Benchmark:
     ``setup`` turns the cell's input, one argument per kind in
     ``inputs``, into the kernel's positional arguments, ``run`` is the
     kernel (the one call a timed run makes) and ``digest`` maps its
-    result to named checksums. ``reference`` is filled in by
-    ``harness``; the runner never calls it.
+    result to named checksums. ``harness`` fills in ``reference``, which
+    the runner never calls, and ``family``, which ``patterns`` derives
+    from the kernel's code.
     """
 
     name: str
-    family: str
-    needs_matrix: bool
     setup: callable
     run: callable
     digest: callable
     reference: callable = None
     inputs: tuple = ("csr",)
+    family: str = None
+
+    @property
+    def needs_matrix(self) -> bool:
+        """Whether a cell takes an input matrix: every kind but ASM's mesh does."""
+        return any(kind != "asm" for kind in self.inputs)
 
 
 BENCHMARKS = {b.name: b for b in [
-    Benchmark("SPMATVEC", "pointer", True,
+    Benchmark("SPMATVEC",
               lambda m: (csr_to_linked(m), probe_vector(m.n_rows)),
               spmatvec, lambda y: {"y": weighted_checksum(y)}),
-    Benchmark("SPMATMAT", "pointer", True,
+    Benchmark("SPMATMAT",
               lambda m: (csr_to_linked(m), probe_dense(m.n_rows, SPMATMAT_COLS)),
               spmatmat,
               lambda y: {"y": weighted_checksum(v for row in y for v in row)}),
-    Benchmark("JACIT", "pointer", True,
+    Benchmark("JACIT",
               lambda m: (csr_to_linked(m), probe_vector(m.n_rows, RHS_SALT["JACIT"]),
                          [0.0] * m.n_rows, JacobiParams()),
               jacit, lambda x: {"x": weighted_checksum(x)}),
-    Benchmark("DSOLVE", "pointer", True, _setup_dsolve, dsolve,
+    Benchmark("DSOLVE", _setup_dsolve, dsolve,
               lambda x: {"x": weighted_checksum(x)}, inputs=("lu",)),
-    Benchmark("PCG", "pointer", True,
+    Benchmark("PCG",
               lambda m: (csr_to_linked(m), probe_vector(m.n_rows, RHS_SALT["PCG"]),
                          pcg_params()),
               pcg, _digest_pcg),
-    Benchmark("ASM", "array", False, _setup_asm, _run_asm,
+    Benchmark("ASM", _setup_asm, _run_asm,
               lambda k: {"values": weighted_checksum(k.values)}, inputs=("asm",)),
-    Benchmark("TRMAT", "array", True, lambda m: (m,), trmat,
+    Benchmark("TRMAT", lambda m: (m,), trmat,
               lambda t: _digest_csr(t.row_ptr, t.col_ind, t.values)),
-    Benchmark("CMCK", "array", True, lambda m: (symmetrize_lower(m), False), cmck,
+    Benchmark("CMCK", lambda m: (symmetrize_lower(m), False), cmck,
               lambda p: {"forward": weighted_checksum(p.forward)}),
-    Benchmark("MPERM", "array", True, _setup_mperm, _mperm_fill, _digest_mperm,
+    Benchmark("MPERM", _setup_mperm, _mperm_fill, _digest_mperm,
               inputs=("csr", "perm")),
 ]}
 

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import matio
+from . import matio, patterns
 from .cells import (
     ASM_MESH,
     BENCHMARK_ORDER,
@@ -428,7 +428,10 @@ def _ref_mperm(op):
             "values": _np_checksum(b.data)}
 
 
-BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref)
+# each kernel's access patterns, counted from its code; its family is one of them
+PATTERNS = patterns.table(BENCHMARKS)
+BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref,
+                                             family=PATTERNS[name]["family"])
                    for name, ref in [
                        ("SPMATVEC", _ref_spmatvec), ("SPMATMAT", _ref_spmatmat),
                        ("JACIT", _ref_jacit), ("DSOLVE", _ref_dsolve),
@@ -957,7 +960,8 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
 
 
 def report(spark_dat, out_dir) -> tuple:
-    """Emit speedups.csv and one grouped-bar SVG per matrix.
+    """Emit speedups.csv, one grouped-bar SVG per matrix and
+    patterns.csv, each kernel's access patterns (``PATTERNS``).
 
     Returns (csv path, list of svg paths, notices). Empty input yields a
     header-only CSV and a notice instead of charts.
@@ -973,6 +977,8 @@ def report(spark_dat, out_dir) -> tuple:
         csv_lines.append(f"{r.id},{r.benchmark},{r.matrix},{speedup(r):.6f}")
     csv_path.write_text("".join(line + "\n" for line in csv_lines),
                         encoding="ascii", newline="\n")
+    (out_dir / "patterns.csv").write_text(patterns.csv(PATTERNS), encoding="ascii",
+                                          newline="\n")
 
     notices = []
     if not non_base:

@@ -45,6 +45,9 @@ def test_runner_imports_neither_numpy_nor_scipy():
     assert _loaded_after_import("sparkbench._runner") == "[]"
     # nor the dense reference code: references are the parent's business
     assert _loaded_after_import("sparkbench._runner", ("sparkbench.oracles",)) == "[]"
+    # nor the parent's own modules
+    assert _loaded_after_import(
+        "sparkbench._runner", ("sparkbench.patterns", "sparkbench.harness")) == "[]"
 
 
 def test_cli_imports_neither_numpy_nor_scipy():

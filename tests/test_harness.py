@@ -754,17 +754,18 @@ class Stop(BaseException):
     """Raised past every ``except Exception`` in the harness."""
 
 
-def test_no_helper_outlives_a_prepare_that_raises(tiny_data, monkeypatch):
+def test_no_runner_outlives_a_prepare_that_raises(tiny_data, monkeypatch, started):
     def stop(op):
         raise Stop
     monkeypatch.setitem(BENCHMARKS, "ASM",
                         dataclasses.replace(BENCHMARKS["ASM"], reference=stop))
     with pytest.raises(Stop):
-        prepare(["DSOLVE", "ASM"], ["tiny"], tiny_data)
-    assert multiprocessing.active_children() == []
+        prepare(["DSOLVE", "ASM"], ["tiny"], tiny_data, [BenchConfig("base")])
+    # the runner started before the references, and the unwinding reaped it
+    assert len(started) == 1 and started[0].poll() is not None
 
 
-def test_no_helper_outlives_verify_matrix(tiny_data, monkeypatch, started):
+def test_no_runner_outlives_verify_matrix(tiny_data, monkeypatch, started):
     assert verify_matrix(tiny_data, "tiny")[1]
     assert multiprocessing.active_children() == []
     # DSOLVE's gate ran in a child of one base runner, reaped on return
@@ -870,7 +871,7 @@ def test_a_failing_factorization_fails_only_its_matrixs_dsolve_cell(
     assert err.read_text().startswith("RuntimeError: Factor is exactly singular")
 
 
-def test_the_helper_writes_the_in_process_factor_and_reference(tiny_data, tmp_path):
+def test_prepare_writes_the_in_process_factor_and_reference(tiny_data, tmp_path):
     op = harness._Operands(harness.load_matrix(tiny_data, "tiny"))
     _write_factor(op.lu, tmp_path, "tiny")
     want = {k: v.hex() for k, v in harness._ref_dsolve(op).items()}
