@@ -179,7 +179,7 @@ def _pattern_is_symmetric(m: CsrMatrix) -> bool:
     return True
 
 
-def cmck(m: CsrMatrix, check_pattern: bool = True) -> Permutation:
+def cmck(m: CsrMatrix) -> Permutation:
     """Cuthill-McKee ordering of a structurally symmetric matrix.
 
     Seeds each connected component with its unlabeled node of minimum
@@ -188,15 +188,19 @@ def cmck(m: CsrMatrix, check_pattern: bool = True) -> Permutation:
     sorted by ascending degree, ties again toward the lowest index.
     Returns the relabeling with forward[old] = new. Plain Cuthill-McKee,
     not the reversed variant.
-
-    Degrees are row lengths minus one for the diagonal, clamped at zero.
-    ``order`` is the new-to-old map under construction and doubles as
-    the BFS queue: its window runs from ``head`` to ``len(order)``.
     """
     if not m.is_square:
         raise DimensionError("cmck requires a square matrix")
-    if check_pattern and not _pattern_is_symmetric(m):
+    if not _pattern_is_symmetric(m):
         raise SymmetryError("cmck requires a structurally symmetric pattern")
+    return _cmck_order(m)
+
+
+def _cmck_order(m: CsrMatrix) -> Permutation:
+    """``cmck``'s loop nest, for a symmetric pattern. Degrees are row
+    lengths minus one for the diagonal, clamped at zero. ``order`` is the
+    new-to-old map under construction and doubles as the BFS queue: its
+    window runs from ``head`` to ``len(order)``."""
     n = m.n_rows
     ia, ja = m.row_ptr, m.col_ind
     deg = [max(0, ia[i + 1] - ia[i] - 1) for i in range(n)]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import matio
-from .arr_kernels import _mperm_fill, _sort_rows, asm_numeric, cmck, trmat
+from .arr_kernels import _cmck_order, _mperm_fill, _sort_rows, asm_numeric, trmat
 from .core import (
     CsrMatrix,
     ParameterError,
@@ -266,7 +266,7 @@ BENCHMARKS = {b.name: b for b in [
               lambda k: {"values": weighted_checksum(k.values)}, inputs=("asm",)),
     Benchmark("TRMAT", lambda m: (m,), trmat,
               lambda t: _digest_csr(t.row_ptr, t.col_ind, t.values)),
-    Benchmark("CMCK", lambda m: (symmetrize_lower(m), False), cmck,
+    Benchmark("CMCK", lambda m: (symmetrize_lower(m),), _cmck_order,
               lambda p: {"forward": weighted_checksum(p.forward)}),
     Benchmark("MPERM", _setup_mperm, _mperm_fill, _digest_mperm,
               inputs=("csr", "perm")),

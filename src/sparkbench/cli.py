@@ -5,8 +5,10 @@ flags, calls one library entry point and formats its result. Exit codes:
 0 on success, 1 when validation or verification fails, 2 on usage
 errors (argparse's own convention).
 
-The parent-side ``harness`` (numpy and scipy) is imported only by the
-commands that need it, so ``gen`` and ``inspect`` start without them.
+The parent-side ``harness`` (numpy and scipy) is imported only by
+``run`` and ``verify``; ``gen``, ``inspect``, ``aggregate`` and
+``report`` start without numpy and scipy, the last two through
+``results``.
 """
 
 import argparse
@@ -69,8 +71,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    from . import harness
-    path, warnings = harness.aggregate(args.results_dir, args.out)
+    from . import results
+    path, warnings = results.aggregate(args.results_dir, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(path)
@@ -78,8 +80,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import harness
-    csv_path, svg_paths, notices = harness.report(args.spark_dat, args.out_dir)
+    from . import results
+    csv_path, svg_paths, notices = results.report(args.spark_dat, args.out_dir)
     for n in notices:
         print(f"notice: {n}", file=sys.stderr)
     print(csv_path)

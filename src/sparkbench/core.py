@@ -194,12 +194,6 @@ class OrthoLinkedMatrix(LinkedRowMatrix):
         self.int_to_ext_col_map: list = list(range(size))
         self.diag: list = [None] * size
 
-    def col_elements(self, j: int) -> Iterator[SparseElement]:
-        e = self.first_in_col[j]
-        while e is not None:
-            yield e
-            e = e.next_in_col
-
 
 @dataclass
 class Permutation:

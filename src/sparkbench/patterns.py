@@ -12,7 +12,9 @@ each benchmark's ``run`` and, once each, of every ``ptr_kernels``,
 * ``indirect``: subscripts whose index is a load, and ``depth`` the
   deepest load behind one such index;
 * ``loaded_bounds``: ``range`` loops with a bound that is a load;
-* ``ifs``: ``if`` statements.
+* ``ifs``: ``if`` statements, but for guards: an ``if`` with no
+  ``else`` whose body is a single ``raise`` or ``return`` checks an
+  argument or a precondition, not a run-time dependent condition.
 
 A load is a subscript, a field of a load (``e.col`` of a node ``e``
 taken from a list), or a name whose latest binding, in source order, is
@@ -137,7 +139,9 @@ class _Counter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_If(self, node):
-        self.counts["ifs"] += 1
+        guard = (not node.orelse and len(node.body) == 1
+                 and isinstance(node.body[0], (ast.Raise, ast.Return)))
+        self.counts["ifs"] += not guard
         self.generic_visit(node)
 
     def visit_Subscript(self, node):

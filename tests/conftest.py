@@ -96,3 +96,11 @@ def build_with_gc_off(build, m):
 
 def row_major(storage):
     return [e for i in range(storage.size) for e in storage.row_elements(i)]
+
+
+def col_elements(ortho, j):
+    """Column ``j``'s chain of an orthogonal storage, top to bottom."""
+    e = ortho.first_in_col[j]
+    while e is not None:
+        yield e
+        e = e.next_in_col

@@ -199,8 +199,8 @@ def test_cmck_rejects_asymmetric_pattern():
     m = CsrMatrix.from_triples(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     with pytest.raises(SymmetryError):
         cmck(m)
-    # the check can be waived for setup code that has already symmetrized
-    p = cmck(symmetrize_lower(m), check_pattern=True)
+    # symmetrized, the same matrix passes the check
+    p = cmck(symmetrize_lower(m))
     assert sorted(p.forward) == [0, 1]
 
 

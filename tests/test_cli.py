@@ -1,12 +1,13 @@
 """Command line behavior: subcommands, flags and exit codes."""
 
 import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import raising_on_second_call
+from conftest import other_interpreter, raising_on_second_call
 from sparkbench import matio, ptr_kernels
 from sparkbench.cli import main
 from sparkbench.core import ParameterError
@@ -161,6 +162,31 @@ def test_run_aggregate_report_flow(tiny_tree):
     assert code == 0
     assert (out_dir / "speedups.csv").exists()
     assert (out_dir / "tiny.svg").exists()
+
+
+def test_aggregate_and_report_write_the_same_bytes_without_numpy(tiny_tree):
+    exe = other_interpreter(12)
+    if exe is None:
+        pytest.skip("no pyenv-managed CPython 3.12")
+    results = tiny_tree / "results"
+    assert main(["run", "--bench", "SPMATVEC", "ASM", "CMCK", "--matrix", "tiny",
+                 "--data-dir", str(tiny_tree / "data"), "--results-dir", str(results),
+                 "--policy", "0,3,min", "--config", "base", "opt1"]) == 0
+    written = []
+    for i, python in enumerate([sys.executable, os.fspath(exe)]):
+        out = tiny_tree / f"out{i}"
+        for args in (["aggregate", "--results-dir", results, "--out", out / "spark.dat"],
+                     ["report", "--spark-dat", out / "spark.dat", "--out-dir", out]):
+            subprocess.run([python, "-m", "sparkbench.cli", *map(str, args)],
+                           check=True, capture_output=True)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    here, there = written
+    assert sorted(here) == ["none.svg", "patterns.csv", "spark.dat", "speedups.csv",
+                            "tiny.svg"]
+    # the chart groups by family without harness, which fills Benchmark.family
+    assert b"pointer-traversal kernels" in here["tiny.svg"]
+    assert b"indirection-array kernels" in here["tiny.svg"]
+    assert there == here
 
 
 def test_run_rejects_unknown_config(tiny_tree):

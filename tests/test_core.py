@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_with_gc_off, csr_matrices, hex_csr, row_major
+from conftest import build_with_gc_off, col_elements, csr_matrices, hex_csr, row_major
 from sparkbench.core import (
     CsrMatrix,
     DimensionError,
@@ -124,9 +124,9 @@ def test_ortho_inserts_zero_diagonal():
 
 def test_ortho_column_chains():
     o = csr_to_ortho(small_csr())
-    col0 = [(e.row, e.value) for e in o.col_elements(0)]
+    col0 = [(e.row, e.value) for e in col_elements(o, 0)]
     assert col0 == [(0, 1.0), (2, 4.0)]
-    col2 = [(e.row, e.value) for e in o.col_elements(2)]
+    col2 = [(e.row, e.value) for e in col_elements(o, 2)]
     assert col2 == [(0, 2.0), (2, 5.0)]
     assert o.int_to_ext_row_map == [0, 1, 2]
     assert o.int_to_ext_col_map == [0, 1, 2]
@@ -168,12 +168,12 @@ def test_ortho_round_trip_adds_only_missing_zero_diagonals(m):
 def test_ortho_column_chains_visit_the_row_entries(m):
     o = csr_to_ortho(m)
     by_row = [e for i in range(o.size) for e in o.row_elements(i)]
-    by_col = [e for j in range(o.size) for e in o.col_elements(j)]
+    by_col = [e for j in range(o.size) for e in col_elements(o, j)]
     assert len({id(e) for e in by_row}) == len(by_row) == len(by_col)
     assert {id(e) for e in by_row} == {id(e) for e in by_col}
     for i in range(o.size):
         assert all(e.row == i for e in o.row_elements(i))
-        col = list(o.col_elements(i))
+        col = list(col_elements(o, i))
         assert all(e.col == i for e in col)
         assert all(a.row < b.row for a, b in zip(col, col[1:]))
         assert o.diag[i] in col and o.diag[i].row == i

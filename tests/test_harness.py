@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FLOATS, build_with_gc_off, csr_matrices, raising_on_second_call,
-                      row_major)
+from conftest import (FLOATS, build_with_gc_off, col_elements, csr_matrices,
+                      raising_on_second_call, row_major)
 from sparkbench import arr_kernels, cells, core, harness, matio, ptr_kernels
 from sparkbench.cells import INPUT_PARTS, input_path, load_input, read_input
 from sparkbench.core import CsrMatrix, ParameterError, Permutation, build_ortho
@@ -27,34 +27,36 @@ from sparkbench.harness import (
     ARRAY_BENCHMARKS,
     POINTER_BENCHMARKS,
     BenchConfig,
-    BenchRecord,
     HarnessError,
     OracleMismatchError,
     TimingPolicy,
-    _TIME_KEYS,
     _admit,
     _checksums_match,
     _record_cell,
     _reference_cm,
     _scipy_csr,
     _write_factor,
-    aggregate,
     execute_cell,
     parse_config_file,
-    parse_spark_dat,
-    parse_time_file,
     prepare,
     probe_vector,
-    report,
     run_suite,
-    speedup,
-    time_file_path,
     verify_fixtures,
     verify_matrix,
     weighted_checksum,
-    write_time_file,
 )
 from sparkbench.matio import gen_spd, matrix_path, symmetrize_lower, write_matrix_market
+from sparkbench.results import (
+    BenchRecord,
+    _TIME_KEYS,
+    aggregate,
+    parse_spark_dat,
+    parse_time_file,
+    report,
+    speedup,
+    time_file_path,
+    write_time_file,
+)
 from sparkbench.arr_kernels import cmck
 from sparkbench.ptr_kernels import dsolve
 
@@ -326,7 +328,7 @@ def _ortho_state(o):
     chains as rows, and both maps."""
     return ([[(e.col, e.value.hex(), e is o.diag[i]) for e in o.row_elements(i)]
              for i in range(o.size)],
-            [[e.row for e in o.col_elements(j)] for j in range(o.size)],
+            [[e.row for e in col_elements(o, j)] for j in range(o.size)],
             o.int_to_ext_row_map, o.int_to_ext_col_map)
 
 
