@@ -6,49 +6,4 @@ array-based compressed rows, plus a harness that times both under
 different interpreter configurations and reports speedups.
 """
 
-from .core import (
-    CsrMatrix,
-    DenseMatrix,
-    DenseVector,
-    DimensionError,
-    DivergenceError,
-    GeometryError,
-    LinkedRowMatrix,
-    OrthoLinkedMatrix,
-    ParameterError,
-    Permutation,
-    PermutationError,
-    SingularMatrixError,
-    SparkBenchError,
-    SparseElement,
-    SymmetryError,
-    csr_to_linked,
-    csr_to_ortho,
-    linked_to_csr,
-    ortho_to_csr,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CsrMatrix",
-    "DenseMatrix",
-    "DenseVector",
-    "DimensionError",
-    "DivergenceError",
-    "GeometryError",
-    "LinkedRowMatrix",
-    "OrthoLinkedMatrix",
-    "ParameterError",
-    "Permutation",
-    "PermutationError",
-    "SingularMatrixError",
-    "SparkBenchError",
-    "SparseElement",
-    "SymmetryError",
-    "csr_to_linked",
-    "csr_to_ortho",
-    "linked_to_csr",
-    "ortho_to_csr",
-    "__version__",
-]

@@ -226,8 +226,7 @@ class Benchmark:
     ``inputs``, into the kernel's positional arguments, ``run`` is the
     kernel (the one call a timed run makes) and ``digest`` maps its
     result to named checksums. ``harness`` fills in ``reference``, which
-    the runner never calls, and ``family``, which ``patterns`` derives
-    from the kernel's code.
+    the runner never calls.
     """
 
     name: str
@@ -236,7 +235,12 @@ class Benchmark:
     digest: callable
     reference: callable = None
     inputs: tuple = ("csr",)
-    family: str = None
+
+    @property
+    def family(self) -> str:
+        """``patterns``' family of ``run``; a runner never imports ``patterns``."""
+        from . import patterns
+        return patterns.row(self.run)["family"]
 
     @property
     def needs_matrix(self) -> bool:

@@ -74,7 +74,7 @@ from .cells import (
 from .core import CsrMatrix, ParameterError, Permutation
 from .matio import gen_tri_mesh, read_matrix_market, symmetrize_lower
 from .ptr_kernels import JacobiParams, PcgParams
-from .results import PATTERNS, _check_name, time_file_path, write_time_file
+from .results import _check_name, time_file_path, write_time_file
 # perfbench and the acceptance tests read these through harness
 from .results import BenchRecord, aggregate, parse_time_file, report  # noqa: F401
 
@@ -376,8 +376,7 @@ def _ref_mperm(op):
             "values": _np_checksum(b.data)}
 
 
-BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref,
-                                             family=PATTERNS[name]["family"])
+BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref)
                    for name, ref in [
                        ("SPMATVEC", _ref_spmatvec), ("SPMATMAT", _ref_spmatmat),
                        ("JACIT", _ref_jacit), ("DSOLVE", _ref_dsolve),
@@ -857,7 +856,7 @@ def verify_matrix(data_dir, name: str) -> tuple:
     while that child runs; DSOLVE is gated last. The detail keeps
     ``BENCHMARK_ORDER``, one line per failing kernel.
     Returns (label, ok, detail) where ok is None when the matrix
-    file has not been generated, and False when it cannot be parsed.
+    file has not been generated, and False when it cannot be read or parsed.
     """
     path = matio.matrix_path(data_dir, name)
     label = f"scale:{name}"
@@ -865,8 +864,8 @@ def verify_matrix(data_dir, name: str) -> tuple:
         return label, None, "not generated; skipped"
     try:
         m, meta = read_matrix_market(path)
-    except matio.MatrixMarketError as exc:
-        return label, False, f"MatrixMarketError: {exc}"
+    except (matio.MatrixMarketError, OSError) as exc:
+        return label, False, f"{type(exc).__name__}: {exc}"
     problems = []
     if name in matio.TABLE1_EXPECTED:
         rep = matio.validate_characteristics(meta, matio.TABLE1_EXPECTED[name])

@@ -127,80 +127,87 @@ def read_matrix_market(path) -> tuple:
     because every kernel needs real values.
     """
     path = os.fspath(path)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        lineno = 1
-        parts = header.strip().split()
-        if len(parts) != 5 or parts[0] != "%%MatrixMarket":
-            raise MatrixMarketError(f"{path}:1: not a Matrix Market header")
-        _, obj, fmt, fieldkind, symkind = (p.lower() for p in parts)
-        if obj != "matrix" or fmt != "coordinate":
-            raise MatrixMarketError(
-                f"{path}:1: only coordinate matrices are supported")
-        if fieldkind not in ("real", "integer"):
-            raise MatrixMarketError(
-                f"{path}:1: field {fieldkind!r} unsupported (values required)")
-        if symkind not in ("general", "symmetric"):
-            raise MatrixMarketError(
-                f"{path}:1: symmetry {symkind!r} unsupported")
-
-        size_line = None
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            size_line = s
-            break
-        if size_line is None:
-            raise MatrixMarketError(f"{path}:{lineno}: missing size line")
-        try:
-            n_rows, n_cols, declared = (int(t) for t in size_line.split())
-            if min(n_rows, n_cols, declared) < 0:
-                raise ValueError
-        except ValueError:
-            raise MatrixMarketError(
-                f"{path}:{lineno}: bad size line {size_line!r}") from None
-
-        seen = set()
-        triples = []
-        stored = 0
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            toks = s.split()
-            if len(toks) != 3:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline()
+            lineno = 1
+            parts = header.strip().split()
+            if len(parts) != 5 or parts[0] != "%%MatrixMarket":
+                raise MatrixMarketError(f"{path}:1: not a Matrix Market header")
+            _, obj, fmt, fieldkind, symkind = (p.lower() for p in parts)
+            if obj != "matrix" or fmt != "coordinate":
                 raise MatrixMarketError(
-                    f"{path}:{lineno}: expected 'row col value', got {s!r}")
+                    f"{path}:1: only coordinate matrices are supported")
+            if fieldkind not in ("real", "integer"):
+                raise MatrixMarketError(
+                    f"{path}:1: field {fieldkind!r} unsupported (values required)")
+            if symkind not in ("general", "symmetric"):
+                raise MatrixMarketError(
+                    f"{path}:1: symmetry {symkind!r} unsupported")
+
+            size_line = None
+            for line in fh:
+                lineno += 1
+                s = line.strip()
+                if not s or s.startswith("%"):
+                    continue
+                size_line = s
+                break
+            if size_line is None:
+                raise MatrixMarketError(f"{path}:{lineno}: missing size line")
             try:
-                r = int(toks[0]) - 1
-                c = int(toks[1]) - 1
-                v = float(toks[2].replace("D", "E").replace("d", "e"))
+                n_rows, n_cols, declared = (int(t) for t in size_line.split())
+                if min(n_rows, n_cols, declared) < 0:
+                    raise ValueError
             except ValueError:
                 raise MatrixMarketError(
-                    f"{path}:{lineno}: bad entry {s!r}") from None
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                    f"{path}:{lineno}: bad size line {size_line!r}") from None
+            if symkind == "symmetric" and n_rows != n_cols:
                 raise MatrixMarketError(
-                    f"{path}:{lineno}: index ({r + 1}, {c + 1}) out of range")
-            if (r, c) in seen:
-                raise MatrixMarketError(
-                    f"{path}:{lineno}: duplicate entry ({r + 1}, {c + 1})")
-            seen.add((r, c))
-            stored += 1
-            if symkind == "symmetric":
-                if c > r:
+                    f"{path}:{lineno}: symmetric matrix is not square ({size_line!r})")
+
+            seen = set()
+            triples = []
+            stored = 0
+            for line in fh:
+                lineno += 1
+                s = line.strip()
+                if not s or s.startswith("%"):
+                    continue
+                toks = s.split()
+                if len(toks) != 3:
                     raise MatrixMarketError(
-                        f"{path}:{lineno}: upper-triangle entry in symmetric file")
-                triples.append((r, c, v))
-                if r != c:
-                    triples.append((c, r, v))
-            else:
-                triples.append((r, c, v))
-        if stored != declared:
-            raise MatrixMarketError(
-                f"{path}: size line declares {declared} entries, found {stored}")
+                        f"{path}:{lineno}: expected 'row col value', got {s!r}")
+                try:
+                    r = int(toks[0]) - 1
+                    c = int(toks[1]) - 1
+                    v = float(toks[2].replace("D", "E").replace("d", "e"))
+                except ValueError:
+                    raise MatrixMarketError(
+                        f"{path}:{lineno}: bad entry {s!r}") from None
+                if not (0 <= r < n_rows and 0 <= c < n_cols):
+                    raise MatrixMarketError(
+                        f"{path}:{lineno}: index ({r + 1}, {c + 1}) out of range")
+                if (r, c) in seen:
+                    raise MatrixMarketError(
+                        f"{path}:{lineno}: duplicate entry ({r + 1}, {c + 1})")
+                seen.add((r, c))
+                stored += 1
+                if symkind == "symmetric":
+                    if c > r:
+                        raise MatrixMarketError(
+                            f"{path}:{lineno}: upper-triangle entry in symmetric file")
+                    triples.append((r, c, v))
+                    if r != c:
+                        triples.append((c, r, v))
+                else:
+                    triples.append((r, c, v))
+            if stored != declared:
+                raise MatrixMarketError(
+                    f"{path}: size line declares {declared} entries, found {stored}")
+    except UnicodeDecodeError as exc:
+        raise MatrixMarketError(
+            f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
 
     m = CsrMatrix.from_triples(n_rows, n_cols, triples)
     if symkind == "symmetric":

@@ -26,11 +26,13 @@ indirect subscript of depth 2. A ``range`` loop's index, a field of a
 parameter (``m.n_rows``) and a call's result are not loads.
 
 ``family`` is ``"pointer"`` exactly when the kernel walks a chain, and
-``"array"`` otherwise; ``harness`` puts it into ``cells.BENCHMARKS``.
+``"array"`` otherwise; ``cells.Benchmark.family`` reads it from ``row``,
+which keeps each kernel's row, so a process walks a kernel's code once.
 Only the parent imports this module, never a cell's runner.
 """
 
 import ast
+import functools
 import inspect
 
 from . import cells
@@ -157,11 +159,12 @@ class _Counter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+@functools.cache
 def _row(run) -> dict:
     """One kernel's row: ``run``'s counts plus those of every kernel-module
     function it calls, each counted once."""
     counter = _Counter()
-    todo, seen = [inspect.unwrap(run)], set()
+    todo, seen = [run], set()
     while todo:
         fn = todo.pop(0)
         if fn in seen:
@@ -174,9 +177,14 @@ def _row(run) -> dict:
     return {"family": "pointer" if row["walks"] else "array", **row}
 
 
+def row(run) -> dict:
+    """Kernel ``run``'s row (``COLUMNS``), counted on the unwrapped kernel."""
+    return dict(_row(inspect.unwrap(run)))
+
+
 def table(benchmarks=cells.BENCHMARKS) -> dict:
-    """Each benchmark's row (``COLUMNS``), in registry order."""
-    return {name: _row(bench.run) for name, bench in benchmarks.items()}
+    """Each benchmark's row, in registry order."""
+    return {name: row(bench.run) for name, bench in benchmarks.items()}
 
 
 def csv(rows: dict) -> str:

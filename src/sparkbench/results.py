@@ -3,11 +3,12 @@
 Cell results land in ``results/<config>/<benchmark>__<matrix>.time``;
 the aggregator folds the tree into the space-separated ``spark.dat``
 with one ``id benchmark matrix reftime time`` line per cell, and the
-reporter turns that into per-matrix speedup charts plus a CSV, and
-writes each kernel's access patterns (``PATTERNS``) beside them. This
-module imports only the standard library, ``cells``, ``core`` and
-``patterns``, so ``sparkbench aggregate`` and ``report`` start without
-numpy and scipy and run under any interpreter that runs a cell.
+reporter turns that into per-matrix speedup charts, grouped by each
+kernel's ``Benchmark.family``, plus a CSV and ``patterns.table``; only
+``report`` reads the kernels' code for them. This module imports only the
+standard library, ``cells``, ``core`` and ``patterns``, so ``sparkbench
+aggregate`` and ``report`` start without numpy and scipy and run under
+any interpreter that runs a cell.
 """
 
 import json
@@ -183,9 +184,6 @@ def parse_spark_dat(path) -> list:
 
 # --- reporting -------------------------------------------------------------
 
-# each kernel's access patterns, counted from its code; its family is one of them
-PATTERNS = patterns.table(BENCHMARKS)
-
 _PALETTE = ["#4878a8", "#b85c48", "#58915b", "#8868a0", "#a88a3c", "#5b8a8f"]
 
 
@@ -247,7 +245,7 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
                  f'font-family="sans-serif" font-size="11" '
                  f'fill="#555555">1.00</text>')
 
-    families = [PATTERNS[b]["family"] if b in PATTERNS else "array"
+    families = [BENCHMARKS[b].family if b in BENCHMARKS else "array"
                 for b in bench_names]
     for gi, bench in enumerate(bench_names):
         gx = margin_l + gi * group_w
@@ -301,7 +299,7 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
 
 def report(spark_dat, out_dir) -> tuple:
     """Emit speedups.csv, one grouped-bar SVG per matrix and
-    patterns.csv, each kernel's access patterns (``PATTERNS``).
+    patterns.csv, each kernel's access patterns (``patterns.table``).
 
     Returns (csv path, list of svg paths, notices). Empty input yields a
     header-only CSV and a notice instead of charts.
@@ -317,8 +315,8 @@ def report(spark_dat, out_dir) -> tuple:
         csv_lines.append(f"{r.id},{r.benchmark},{r.matrix},{speedup(r):.6f}")
     csv_path.write_text("".join(line + "\n" for line in csv_lines),
                         encoding="ascii", newline="\n")
-    (out_dir / "patterns.csv").write_text(patterns.csv(PATTERNS), encoding="ascii",
-                                          newline="\n")
+    (out_dir / "patterns.csv").write_text(patterns.csv(patterns.table()),
+                                          encoding="ascii", newline="\n")
 
     notices = []
     if not non_base:

@@ -183,7 +183,7 @@ def test_aggregate_and_report_write_the_same_bytes_without_numpy(tiny_tree):
     here, there = written
     assert sorted(here) == ["none.svg", "patterns.csv", "spark.dat", "speedups.csv",
                             "tiny.svg"]
-    # the chart groups by family without harness, which fills Benchmark.family
+    # the chart groups by family without harness: Benchmark.family reads patterns
     assert b"pointer-traversal kernels" in here["tiny.svg"]
     assert b"indirection-array kernels" in here["tiny.svg"]
     assert there == here
@@ -334,6 +334,20 @@ def test_verify_continues_past_a_malformed_matrix(tmp_path, capsys):
     assert out[i].startswith("FAIL scale:add32: MatrixMarketError: ")
     assert out[:i] + out[i + 1:-1] == clean[:i] + clean[i + 1:-1]
     assert out[-1].endswith(" passed, 1 failed, 4 skipped")
+
+
+def test_verify_continues_past_a_matrix_it_cannot_read(tmp_path, capsys):
+    args = ["verify", "--data-dir", str(tmp_path), "--fixtures", "4"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out.splitlines()
+    (tmp_path / "add32.mtx").mkdir()
+    assert main(args) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = clean.index("SKIP scale:add32: not generated; skipped")
+    assert out[i].startswith("FAIL scale:add32: IsADirectoryError: ")
+    assert out[:i] + out[i + 1:-1] == clean[:i] + clean[i + 1:-1]
+    assert sum(line.startswith("PASS ") for line in out) == 12
+    assert out[-1] == "verify: 12 passed, 1 failed, 4 skipped"
 
 
 def test_verify_reports_every_line_past_a_raising_kernel(tmp_path, monkeypatch,

@@ -99,6 +99,8 @@ def test_read_symmetric_mirrors_lower(tmp_path):
      "m.mtx:2: bad size line '-2 2 0'"),
     ("%%MatrixMarket matrix coordinate real general\n2 -2 0\n",
      "m.mtx:2: bad size line '2 -2 0'"),
+    ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",
+     "m.mtx:2: symmetric matrix is not square ('3 2 1')"),
 ])
 def test_read_rejects_malformed(tmp_path, body, fragment):
     p = write_text(tmp_path, body)
@@ -116,6 +118,15 @@ def test_error_messages_carry_position(tmp_path):
     with pytest.raises(MatrixMarketError) as err:
         read_matrix_market(p)
     assert ":3" in str(err.value)
+
+
+def test_read_rejects_a_byte_that_is_not_ascii(tmp_path):
+    p = tmp_path / "m.mtx"
+    p.write_bytes("%%MatrixMarket matrix coordinate real general\n"
+                  "% café\n1 1 1\n1 1 1.0\n".encode("utf-8"))
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(p)
+    assert str(err.value) == f"{p}: byte 0xc3 is not ASCII"
 
 
 def test_write_read_round_trip(tmp_path):

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import other_interpreter
-# importing harness fills in each registry entry's family
-from sparkbench import harness, patterns, ptr_kernels, results  # noqa: F401
+from sparkbench import patterns, ptr_kernels, results
 from sparkbench.cells import BENCHMARKS
 from sparkbench.core import CsrMatrix, csr_to_linked
 
@@ -39,13 +38,85 @@ def rows(table):
 
 def test_the_table_is_pinned():
     assert rows(patterns.table()) == TABLE
-    assert rows(results.PATTERNS) == TABLE
 
 
 def test_a_kernel_is_a_pointer_kernel_exactly_when_it_walks_a_chain():
     for name, row in patterns.table().items():
         assert (row["family"] == "pointer") == (row["walks"] > 0), name
         assert BENCHMARKS[name].family == row["family"], name
+
+
+def run_python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_results_alone_derives_each_family_without_harness_or_numpy():
+    out = run_python(
+        "import json, sys\n"
+        "from sparkbench import results\n"
+        "families = {n: b.family for n, b in results.BENCHMARKS.items()}\n"
+        "loaded = [m for m in ('sparkbench.harness', 'numpy') if m in sys.modules]\n"
+        "print(json.dumps([families, loaded]))\n")
+    assert out.returncode == 0, out.stderr
+    families, loaded = json.loads(out.stdout)
+    assert families == {name: row["family"] for name, row in patterns.table().items()}
+    assert loaded == []
+
+
+# the command line under an ``inspect`` that refuses to hand out source
+NO_SOURCE = """\
+import inspect, runpy
+def refuse(fn):
+    raise AssertionError(f"read the source of {fn.__qualname__}")
+inspect.getsource = refuse
+runpy.run_module("sparkbench.cli", run_name="__main__")
+"""
+
+
+def test_aggregate_reads_no_kernel_source(tmp_path):
+    for cid, seconds in [("base", 0.5), ("opt1", 0.25)]:
+        results.write_time_file(results.time_file_path(tmp_path, cid, "SPMATVEC", "tiny"), {
+            "benchmark": "SPMATVEC", "matrix": "tiny", "config": cid, "seconds": seconds,
+            "aggregator": "median", "warmup_runs": 0, "measured_runs": 3,
+            "runs": [seconds] * 3, "checksums": {"y": 1.0}, "ref_checksums": {"y": 1.0}})
+    dat = tmp_path / "spark.dat"
+    agg = run_python(NO_SOURCE, "aggregate", "--results-dir", tmp_path, "--out", dat)
+    assert agg.returncode == 0, agg.stderr
+    assert dat.read_text() == ("base SPMATVEC tiny 0.500000 0.500000\n"
+                               "opt1 SPMATVEC tiny 0.500000 0.250000\n")
+    # report does read it, for the chart's families and patterns.csv
+    rep = run_python(NO_SOURCE, "report", "--spark-dat", dat, "--out-dir", tmp_path)
+    assert rep.returncode != 0
+    assert "AssertionError: read the source of " in rep.stderr
+
+
+def test_a_process_walks_each_kernel_once(tmp_path):
+    dat = tmp_path / "spark.dat"
+    dat.write_text("base SPMATVEC tiny 0.5 0.5\nopt1 SPMATVEC tiny 0.5 0.25\n"
+                   "base ASM none 0.5 0.5\nopt1 ASM none 0.5 0.4\n")
+    # what importing harness, reading every family and a report walk, against
+    # what one table walks from a cleared cache
+    out = run_python(
+        "import inspect, json, sys\n"
+        "walked, getsource = [], inspect.getsource\n"
+        "def counting(fn):\n"
+        "    walked.append(f'{fn.__module__}.{fn.__qualname__}')\n"
+        "    return getsource(fn)\n"
+        "inspect.getsource = counting\n"
+        "from sparkbench import harness, patterns\n"
+        "[b.family for b in harness.BENCHMARKS.values()]\n"
+        "harness.report(sys.argv[1], sys.argv[2])\n"
+        "process = list(walked)\n"
+        "walked.clear()\n"
+        "patterns._row.cache_clear()\n"
+        "patterns.table()\n"
+        "print(json.dumps([process, walked]))\n", dat, tmp_path / "report")
+    assert out.returncode == 0, out.stderr
+    process, once = json.loads(out.stdout)
+    assert "sparkbench.ptr_kernels.spmatvec" in once
+    assert process == once
+    assert (tmp_path / "report" / "tiny.svg").exists()
 
 
 def test_the_table_counts_the_unwrapped_run():
