@@ -420,78 +420,139 @@ def write_mesh(path, mesh: TriMesh) -> None:
             fh.write(f"{a} {b} {c}\n")
 
 
+def _with_diagonal(rows, absum) -> CsrMatrix:
+    """CSR from per-row ``{column: value}`` dicts that hold no diagonal
+    entry; row ``i`` gains ``1 + absum[i]`` on its diagonal."""
+    n = len(rows)
+    row_ptr = [0]
+    col_ind = []
+    values = []
+    for i, row in enumerate(rows):
+        row[i] = 1.0 + absum[i]
+        cols = sorted(row)
+        col_ind += cols
+        values += map(row.__getitem__, cols)
+        row_ptr.append(len(col_ind))
+    return CsrMatrix(n, n, row_ptr, col_ind, values)
+
+
 def _dominant(n, off) -> CsrMatrix:
     """The off-diagonal entries ``off`` plus a diagonal making the matrix
-    strictly dominant both ways."""
+    strictly dominant both ways: each |v| adds to its row's and its
+    column's sum in ``off``'s order."""
+    rows = [{} for _ in range(n)]
     absum = [0.0] * n
     for (i, j), v in off.items():
+        rows[i][j] = v
         absum[i] += abs(v)
         absum[j] += abs(v)
-    triples = [(i, j, v) for (i, j), v in off.items()]
-    triples.extend((i, i, 1.0 + absum[i]) for i in range(n))
-    return CsrMatrix.from_triples(n, n, triples)
+    return _with_diagonal(rows, absum)
 
 
-def _below(bits, n):
-    """A draw in [0, n) as ``Random._randbelow_with_getrandbits`` makes it,
-    from ``bits = rng.getrandbits``: the stream ``randrange`` consumes."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
+# The stand-in builders below draw what ``randrange(n)`` and ``randint(-band,
+# band)`` would, each inline as ``Random._randbelow_with_getrandbits`` does:
+# ``r = getrandbits(n.bit_length())`` until ``r < n``; ``-1 + 2 * random()``
+# is ``uniform(-1, 1)``. An entry goes into its row's dict as it is drawn, and
+# its |v| into its row's and its column's sums, each in the order ``_dominant``
+# adds them for the entries in draw order: float sums depend on that order,
+# and ``tests/test_matio.py`` pins the bytes.
 
 def _standin_scatter(meta, rng, band) -> CsrMatrix:
-    """Full diagonal plus (entries - n) unique off-diagonal entries.
-
-    ``_below`` draws what ``randrange(n)`` and ``randint(-band, band)``
-    would, and ``-1 + 2 * random()`` is ``uniform(-1, 1)``; the same holds
-    in the two stand-ins below.
-    """
+    """Full diagonal plus (entries - n) unique off-diagonal entries."""
     n = meta.n_rows
     bits, rnd = rng.getrandbits, rng.random
-    off = {}
-    while len(off) < meta.entries - n:
-        i = _below(bits, n)
-        j = i + _below(bits, 2 * band + 1) - band
-        if 0 <= j < n and i != j and (i, j) not in off:
-            off[(i, j)] = -1 + 2 * rnd()
-    return _dominant(n, off)
+    kn, width = n.bit_length(), 2 * band + 1
+    kw = width.bit_length()
+    rows = [{} for _ in range(n)]
+    absum = [0.0] * n
+    todo = meta.entries - n
+    while todo:
+        i = bits(kn)
+        while i >= n:
+            i = bits(kn)
+        d = bits(kw)
+        while d >= width:
+            d = bits(kw)
+        j = i + d - band
+        row = rows[i]
+        if d == band or not 0 <= j < n or j in row:
+            continue
+        v = -1 + 2 * rnd()
+        row[j] = v
+        a = abs(v)
+        absum[i] += a
+        absum[j] += a
+        todo -= 1
+    return _with_diagonal(rows, absum)
 
 
 def _standin_sherman3(meta, rng) -> CsrMatrix:
+    """(entries - n) / 2 unique pairs (i, j), j - i in [1, 50], each with
+    its own upper and lower value."""
     n = meta.n_rows
-    n_pairs = (meta.entries - n) // 2
     bits, rnd = rng.getrandbits, rng.random
-    pairs = {}
-    while len(pairs) < n_pairs:
-        i = _below(bits, n - 1)
-        j = i + 1 + _below(bits, 50)
-        if j < n and (i, j) not in pairs:
-            pairs[(i, j)] = (-1 + 2 * rnd(), -1 + 2 * rnd())
-    off = {}
-    for (i, j), (v_up, v_lo) in pairs.items():
-        off[(i, j)] = v_up
-        off[(j, i)] = v_lo
-    return _dominant(n, off)
+    m = n - 1
+    km = m.bit_length()
+    rows = [{} for _ in range(n)]
+    absum = [0.0] * n
+    todo = (meta.entries - n) // 2
+    while todo:
+        i = bits(km)
+        while i >= m:
+            i = bits(km)
+        d = bits(6)
+        while d >= 50:
+            d = bits(6)
+        j = i + 1 + d
+        row = rows[i]
+        if j >= n or j in row:
+            continue
+        up = -1 + 2 * rnd()
+        lo = -1 + 2 * rnd()
+        row[j] = up
+        rows[j][i] = lo
+        absum[i] += abs(up)
+        absum[j] += abs(up)
+        absum[j] += abs(lo)
+        absum[i] += abs(lo)
+        todo -= 1
+    return _with_diagonal(rows, absum)
 
 
 def _standin_bcsstk13(meta, rng) -> CsrMatrix:
+    """(entries - n) unique lower entries within 300 of the diagonal,
+    mirrored."""
     n = meta.n_rows
-    n_lower = meta.entries - n
     bits, rnd = rng.getrandbits, rng.random
-    lower = {}
-    while len(lower) < n_lower:
-        i = 1 + _below(bits, n - 1)
-        j = i - 1 - _below(bits, min(300, i))
-        if (i, j) not in lower:
-            lower[(i, j)] = -1 + 2 * rnd()
-    off = {}
-    for (i, j), v in lower.items():
-        off[(i, j)] = v
-        off[(j, i)] = v
-    return _dominant(n, off)
+    m = n - 1
+    km = m.bit_length()
+    rows = [{} for _ in range(n)]
+    absum = [0.0] * n
+    todo = meta.entries - n
+    while todo:
+        i = bits(km)
+        while i >= m:
+            i = bits(km)
+        i += 1
+        w = i if i < 300 else 300
+        kw = w.bit_length()
+        d = bits(kw)
+        while d >= w:
+            d = bits(kw)
+        j = i - 1 - d
+        row = rows[i]
+        if j in row:
+            continue
+        v = -1 + 2 * rnd()
+        row[j] = v
+        rows[j][i] = v
+        a = abs(v)
+        absum[i] += a
+        absum[j] += a
+        absum[j] += a
+        absum[i] += a
+        todo -= 1
+    return _with_diagonal(rows, absum)
 
 
 # Each stand-in's generator seed, builder and the symmetry it is written
@@ -525,16 +586,6 @@ def matrix_path(data_dir, name: str) -> Path:
     return Path(data_dir) / f"{name}.mtx"
 
 
-def _write(data_dir, name, m, symmetry) -> Path:
-    p = matrix_path(data_dir, name)
-    write_matrix_market(p, m, symmetry=symmetry)
-    return p
-
-
-def _write_standin(data_dir, name) -> Path:
-    return _write(data_dir, name, *gen_standin(name))
-
-
 # Each synthetic family by its ``gen`` flag: what it is, its (n, seed)
 # generator and its symmetry tag. A generator looks its function up when it
 # runs, so a wrapper installed on this module after import sees the call.
@@ -548,47 +599,47 @@ FAMILIES = {
 }
 
 
+def _build_then_write(data_dir, files) -> list:
+    """Build, then write, each ``(path, build, write)`` of ``files``, a
+    path in ``data_dir``, as ``write(path, *build())``; returns the paths.
+
+    Every file's content is built before the directory is made and the
+    first file written, so a build that raises leaves nothing behind.
+    """
+    built = [(path, write, build()) for path, build, write in files]
+    Path(data_dir).mkdir(parents=True, exist_ok=True)
+    for path, write, content in built:
+        write(path, *content)
+    return [path for path, _, _ in built]
+
+
+def _family(name, n, seed) -> tuple:
+    _, generate, symmetry = FAMILIES[name]
+    return generate(n, seed), symmetry
+
+
 def write_families(data_dir, orders: dict, seed: int, mesh) -> list:
     """Write ``<name><n>s<seed>.mtx`` for each (name, n) in ``orders``, then,
     given ``mesh = (nx, ny)``, ``mesh<nx>x<ny>.txt``; returns the paths.
 
-    Every matrix and the mesh are built before the first file is written,
-    so an order or a mesh size that fails leaves nothing behind.
+    An order or a mesh size that fails leaves nothing behind.
     """
-    built = []
-    for name, n in orders.items():
-        _, generate, symmetry = FAMILIES[name]
-        built.append((f"{name}{n}s{seed}", generate(n, seed), symmetry))
-    tri = None if mesh is None else gen_tri_mesh(*mesh)
-    Path(data_dir).mkdir(parents=True, exist_ok=True)
-    written = [_write(data_dir, *matrix) for matrix in built]
-    if tri is not None:
-        p = Path(data_dir, f"mesh{mesh[0]}x{mesh[1]}.txt")
-        write_mesh(p, tri)
-        written.append(p)
-    return written
+    files = [(matrix_path(data_dir, f"{name}{n}s{seed}"),
+              partial(_family, name, n, seed), write_matrix_market)
+             for name, n in orders.items()]
+    if mesh is not None:
+        files.append((Path(data_dir, f"mesh{mesh[0]}x{mesh[1]}.txt"),
+                      lambda: (gen_tri_mesh(*mesh),), write_mesh))
+    return _build_then_write(data_dir, files)
 
 
 def gen_all_standins(data_dir) -> list:
-    """Write every stand-in .mtx into data_dir; returns written paths.
+    """Write every stand-in's .mtx into data_dir, in ``MATRIX_NAMES``
+    order; returns the paths.
 
-    Forked worker processes, one per usable CPU and at most five, each
-    write whole files, the largest stand-in first. Every stand-in seeds
-    its own generator, so the bytes do not depend on the worker count.
-    The paths come back in ``MATRIX_NAMES`` order, and a worker's
-    exception is raised here.
+    All five are built, in this process, before the first is written, so
+    a stand-in that raises leaves no file behind.
     """
-    # imported here: cell runners import this module and never pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    largest_first = sorted(MATRIX_NAMES,
-                           key=lambda name: -TABLE1_EXPECTED[name].entries)
-    workers = min(len(MATRIX_NAMES), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: pool.submit(_write_standin, data_dir, name)
-                   for name in largest_first}
-        return [futures[name].result() for name in MATRIX_NAMES]
+    return _build_then_write(data_dir, [
+        (matrix_path(data_dir, name), partial(gen_standin, name),
+         write_matrix_market) for name in MATRIX_NAMES])

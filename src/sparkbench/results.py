@@ -106,19 +106,30 @@ def write_time_file(path, record: dict) -> None:
 
 def parse_time_file(path) -> dict:
     """Read a .time file; text that is not such a JSON object, a missing
-    key, a cut last line, names that are not strings or seconds that are
-    not finite and positive make it malformed."""
+    key, a cut last line, names that are not strings, checksums that are
+    not an object or seconds that are not finite and positive make it
+    malformed."""
     try:
         text = Path(path).read_text(encoding="ascii")
         out = json.loads(text)
         ok = (text.endswith("\n") and all(k in out for k in _TIME_KEYS)
               and isinstance(out["benchmark"], str) and isinstance(out["matrix"], str)
+              and isinstance(out["checksums"], dict)
               and math.isfinite(out["seconds"]) and out["seconds"] > 0)
     except (ValueError, TypeError):
         ok = False
     if not ok:
         raise HarnessError(f"malformed time file {path}")
     return out
+
+
+def _bit_differences(got: dict, want: dict) -> list:
+    """The sorted keys whose checksums differ in any bit (``float.hex``),
+    including a key that only one side has."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else repr(v)
+    return sorted(k for k in got.keys() | want.keys()
+                  if k not in got or k not in want or bits(got[k]) != bits(want[k]))
 
 
 def aggregate(results_root, out_path=None) -> tuple:
@@ -131,7 +142,9 @@ def aggregate(results_root, out_path=None) -> tuple:
     skipped with a warning, and so are a malformed .time file, a cell
     measured under another timing policy than its base cell (warmups,
     measured runs or aggregator) and a cell whose names break the
-    config-id rule. Returns (path written, warnings).
+    config-id rule. A paired cell whose checksums differ from its base
+    cell's in any bit is still paired, with a warning naming the keys.
+    Returns (path written, warnings).
     """
     results_root = Path(results_root)
     if not (results_root / "base").is_dir():
@@ -165,6 +178,11 @@ def aggregate(results_root, out_path=None) -> tuple:
                                      d["seconds"]).format_line())
         except ParameterError as exc:
             warnings.append(f"{exc}; skipping {cid} {bench} {mat}")
+            continue
+        differ = _bit_differences(d["checksums"], ref["checksums"])
+        if differ:
+            warnings.append(f"checksums {', '.join(differ)} of {bench} {mat} "
+                            f"under {cid} differ in their bits from base's")
     if out_path is None:
         out_path = results_root.parent / "exp" / "data" / "spark.dat"
     out_path = Path(out_path)
@@ -200,7 +218,8 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
     """Grouped speedup bars, one group per benchmark, one bar per config.
 
     Pointer-family and array-family benchmarks are visually separated so
-    the two families can be compared at a glance. Pure function of its
+    the two families can be compared at a glance; a benchmark not in
+    ``BENCHMARKS`` goes under "other kernels". Pure function of its
     inputs.
     """
     bar_w = 16
@@ -245,7 +264,7 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
                  f'font-family="sans-serif" font-size="11" '
                  f'fill="#555555">1.00</text>')
 
-    families = [BENCHMARKS[b].family if b in BENCHMARKS else "array"
+    families = [BENCHMARKS[b].family if b in BENCHMARKS else "other"
                 for b in bench_names]
     for gi, bench in enumerate(bench_names):
         gx = margin_l + gi * group_w
@@ -276,7 +295,8 @@ def _bar_chart_svg(title: str, bench_names: list, series: list,
     for fam, (lo, hi) in sorted(spans.items()):
         cx = margin_l + (lo + hi + 1) * group_w / 2.0
         label = {"pointer": "pointer-traversal kernels",
-                 "array": "indirection-array kernels"}.get(fam, fam)
+                 "array": "indirection-array kernels",
+                 "other": "other kernels"}.get(fam, fam)
         parts.append(f'<text x="{cx:.2f}" y="{margin_t + plot_h + 38}" '
                      f'font-family="sans-serif" font-size="11" '
                      f'fill="#777777" text-anchor="middle">{label}</text>')
@@ -302,7 +322,8 @@ def report(spark_dat, out_dir) -> tuple:
     patterns.csv, each kernel's access patterns (``patterns.table``).
 
     Returns (csv path, list of svg paths, notices). Empty input yields a
-    header-only CSV and a notice instead of charts.
+    header-only CSV and a notice instead of charts; a benchmark that is
+    not a registered kernel is charted as "other kernels", with a notice.
     """
     records = parse_spark_dat(spark_dat)
     out_dir = Path(out_dir)
@@ -323,6 +344,10 @@ def report(spark_dat, out_dir) -> tuple:
         notices.append("no non-base records; nothing to chart")
         return csv_path, [], notices
 
+    unknown = sorted({r.benchmark for r in non_base} - BENCHMARKS.keys())
+    if unknown:
+        notices.append(f"not registered kernels, charted as other kernels: "
+                       f"{', '.join(unknown)}")
     series = sorted({r.id for r in non_base})
     matrices = sorted({r.matrix for r in non_base})
     svg_paths = []

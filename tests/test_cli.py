@@ -1,6 +1,5 @@
 """Command line behavior: subcommands, flags and exit codes."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -100,7 +99,21 @@ def test_a_failing_standin_fails_gen(tmp_path, monkeypatch, capsys):
         matio.gen_all_standins(tmp_path / "lib")
     assert main(["gen", "--data-dir", str(tmp_path / "cli")]) == 1
     assert "error: no sherman3 today" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    # neither data directory holds a file
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_gen_loads_no_process_pool(tmp_path):
+    # a gen run in a fresh interpreter, as ``_loaded_after_import`` in
+    # test_cells.py checks an import
+    code = ("import sys; from sparkbench.cli import main; "
+            f"main(['gen', '--data-dir', {os.fspath(tmp_path)!r}]); "
+            "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
+            "or m.startswith(('multiprocessing.', 'concurrent.futures'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.mtx"))) == 5
 
 
 def test_inspect_prints_characteristics(tmp_path, capsys):

@@ -542,6 +542,38 @@ def test_aggregate_pairs_only_cells_measured_under_one_policy(tmp_path):
         "aggregator 'min' vs 'median'); skipping opt1"]
 
 
+@pytest.mark.parametrize("checksums, keys", [
+    ({"y": math.nextafter(1.0, 2.0)}, "y"),
+    ({"y": 1.0, "z": 0.0}, "z"),
+])
+def test_aggregate_warns_when_checksums_differ_from_base_in_any_bit(
+        tmp_path, checksums, keys):
+    root = tmp_path / "results"
+    for cid, sec in (("base", 0.0078), ("opt1", 0.0071)):
+        write_time_file(time_file_path(root, cid, "TRMAT", "sherman3"),
+                        make_payload(cid, "TRMAT", "sherman3", sec))
+    opt1 = time_file_path(root, "opt1", "TRMAT", "sherman3")
+    write_time_file(opt1, {**parse_time_file(opt1), "checksums": checksums})
+    out, warnings = aggregate(root)
+    # still paired
+    assert out.read_text() == ("base TRMAT sherman3 0.007800 0.007800\n"
+                               "opt1 TRMAT sherman3 0.007800 0.007100\n")
+    assert warnings == [f"checksums {keys} of TRMAT sherman3 under opt1 "
+                        "differ in their bits from base's"]
+
+
+def test_aggregate_skips_a_time_file_whose_checksums_are_not_an_object(tmp_path):
+    root = tmp_path / "results"
+    golden_tree(root)
+    bad = time_file_path(root, "fast", "TRMAT", "add32")
+    write_time_file(bad, {**make_payload("fast", "TRMAT", "add32", 0.1),
+                          "checksums": [1.0]})
+    out, warnings = aggregate(root)
+    assert len(warnings) == 1 and str(bad) in warnings[0]
+    assert out.read_text() == GOLDEN.replace(
+        "fast TRMAT add32 0.125000 0.100000\n", "")
+
+
 def test_time_file_write_leaves_no_temporary(tmp_path):
     path = time_file_path(tmp_path, "base", "SPMATVEC", "add32")
     write_time_file(path, make_payload("base", "SPMATVEC", "add32", 0.5))
@@ -957,6 +989,24 @@ def test_report_empty_input(tmp_path):
     csv_path, svg_paths, notices = report(dat, tmp_path / "report")
     assert csv_path.read_text() == "id,benchmark,matrix,speedup\n"
     assert svg_paths == [] and len(notices) == 1
+
+
+def test_report_charts_an_unregistered_benchmark_as_other_kernels(tmp_path):
+    dat = tmp_path / "spark.dat"
+    dat.write_text("".join(
+        f"{cid} {bench} m 1.000000 {sec}\n"
+        for cid, sec in (("base", "1.000000"), ("fast", "0.500000"))
+        for bench in ("FOO", "SPMATVEC", "TRMAT")))
+    _, svg_paths, notices = report(dat, tmp_path / "report")
+    assert notices == ["not registered kernels, charted as other kernels: FOO"]
+    svg = svg_paths[0].read_text()
+    x = {text: float(at) for at, text in
+         re.findall(r'<text x="([0-9.]+)"[^>]*>([^<]+)<', svg)}
+    # each family's label sits under its own kernels, FOO's group last
+    assert x["SPMATVEC"] == x["pointer-traversal kernels"]
+    assert x["TRMAT"] == x["indirection-array kernels"]
+    assert x["FOO"] == x["other kernels"] > x["TRMAT"]
+    assert svg.count('stroke-dasharray="3 3"') == 2
 
 
 # --- config files ----------------------------------------------------------------

@@ -339,10 +339,11 @@ def test_synthetic_families_are_deterministic(tmp_path):
     assert sha256_of(tmp_path.iterdir()) == FAMILY_SHA256
 
 
-def test_generated_bytes_are_the_same_under_python312(tmp_path):
-    exe = other_interpreter(12)
+@pytest.mark.parametrize("minor", [10, 12, 13])
+def test_generated_bytes_are_the_same_under_other_interpreters(tmp_path, minor):
+    exe = other_interpreter(minor)
     if exe is None:
-        pytest.skip("no pyenv-managed CPython 3.12 to generate under")
+        pytest.skip(f"no pyenv-managed CPython 3.{minor} to generate under")
     for extra in ([], ["--spd", "2000", "--seed", "1"]):
         subprocess.run([exe, "-m", "sparkbench.cli", "gen", "--data-dir",
                         tmp_path, *extra], check=True, stdout=subprocess.DEVNULL)
