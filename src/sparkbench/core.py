@@ -20,7 +20,7 @@ indirections (row table, then row).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 
 class SparkBenchError(Exception):
@@ -63,17 +63,11 @@ class SparseElement:
     """One stored matrix entry, allocated as its own heap node.
 
     ``row`` and ``next_in_col`` are populated only in orthogonal storage;
-    row-linked matrices leave them ``None``.
+    row-linked matrices leave them ``None``. It has no ``__init__``: each
+    builder below makes its nodes with ``object.__new__`` and sets all five.
     """
 
     __slots__ = ("value", "col", "row", "next_in_row", "next_in_col")
-
-    def __init__(self, value: float, col: int, row: Optional[int] = None):
-        self.value = value
-        self.col = col
-        self.row = row
-        self.next_in_row: Optional[SparseElement] = None
-        self.next_in_col: Optional[SparseElement] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SparseElement({self.value!r}, col={self.col}, row={self.row})"
@@ -103,30 +97,32 @@ class CsrMatrix:
         return self.n_rows == self.n_cols
 
     @classmethod
-    def from_triples(cls, n_rows: int, n_cols: int,
-                     triples: Iterable[tuple]) -> "CsrMatrix":
-        """Build a CSR matrix from (row, col, value) triples in any order.
-
-        The triples sort as whole tuples: a value only breaks a tie between
-        two entries at one position, and such a pair raises anyway.
-        """
-        entries = sorted(triples)
-        row_ptr = [0] * (n_rows + 1)
+    def from_rows(cls, n_cols: int, rows: list) -> "CsrMatrix":
+        """Build a CSR matrix from one ``{column: value}`` dict per row,
+        each filled in any order with columns in ``[0, n_cols)``."""
+        row_ptr = [0]
         col_ind = []
         values = []
-        prev = None
-        for r, c, v in entries:
+        for row in rows:
+            cols = sorted(row)
+            col_ind += cols
+            values += map(row.__getitem__, cols)
+            row_ptr.append(len(col_ind))
+        return cls(len(rows), n_cols, row_ptr, col_ind, values)
+
+    @classmethod
+    def from_triples(cls, n_rows: int, n_cols: int,
+                     triples: Iterable[tuple]) -> "CsrMatrix":
+        """Build a CSR matrix from (row, col, value) triples in any order."""
+        rows = [{} for _ in range(n_rows)]
+        for r, c, v in triples:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ParameterError(f"entry ({r}, {c}) outside {n_rows}x{n_cols}")
-            if prev == (r, c):
+            row = rows[r]
+            if c in row:
                 raise ParameterError(f"duplicate entry at ({r}, {c})")
-            prev = (r, c)
-            row_ptr[r + 1] += 1
-            col_ind.append(c)
-            values.append(float(v))
-        for i in range(n_rows):
-            row_ptr[i + 1] += row_ptr[i]
-        return cls(n_rows, n_cols, row_ptr, col_ind, values)
+            row[c] = float(v)
+        return cls.from_rows(n_cols, rows)
 
     def triples(self) -> Iterator[tuple]:
         """Yield (row, col, value) in row-major order."""
@@ -229,8 +225,7 @@ def csr_to_linked(m: CsrMatrix) -> LinkedRowMatrix:
     Nodes are allocated one by one in row-major order, one per entry and
     nothing else in between, which fixes a deterministic heap layout
     baseline for the pointer kernels. Each node is made with
-    ``object.__new__`` and its five slots are stored directly, which skips
-    the per-node ``__init__`` call but allocates the same objects.
+    ``object.__new__`` and its five slots are stored directly.
     """
     if not m.is_square:
         raise DimensionError(f"linked storage requires a square matrix, got "

@@ -40,6 +40,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_right
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -493,8 +494,18 @@ class Prepared:
                 "warmup_runs": warmup_runs, "measured_runs": measured_runs}
 
 
+def _check_finite(m: CsrMatrix, name: str) -> None:
+    """Raise ``HarnessError`` naming the matrix and its first stored nan or
+    inf, 1-based: no checksum can gate a kernel's result on it."""
+    for k, v in enumerate(m.values):
+        if not math.isfinite(v):
+            i, j = bisect_right(m.row_ptr, k), m.col_ind[k] + 1
+            raise HarnessError(f"matrix {name}: entry ({i}, {j}) is {v!r}, not finite")
+
+
 def load_matrix(data_dir, name: str) -> CsrMatrix:
     m, _meta = read_matrix_market(matrix_file(data_dir, name))
+    _check_finite(m, name)
     return m
 
 
@@ -855,8 +866,8 @@ def verify_matrix(data_dir, name: str) -> tuple:
     goes out first, and the other kernels run here, through ``run_job``,
     while that child runs; DSOLVE is gated last. The detail keeps
     ``BENCHMARK_ORDER``, one line per failing kernel.
-    Returns (label, ok, detail) where ok is None when the matrix
-    file has not been generated, and False when it cannot be read or parsed.
+    Returns (label, ok, detail) where ok is None when the matrix file has
+    not been generated, and False when it is unreadable or stores nan or inf.
     """
     path = matio.matrix_path(data_dir, name)
     label = f"scale:{name}"
@@ -864,7 +875,8 @@ def verify_matrix(data_dir, name: str) -> tuple:
         return label, None, "not generated; skipped"
     try:
         m, meta = read_matrix_market(path)
-    except (matio.MatrixMarketError, OSError) as exc:
+        _check_finite(m, name)
+    except (matio.MatrixMarketError, OSError, HarnessError) as exc:
         return label, False, f"{type(exc).__name__}: {exc}"
     problems = []
     if name in matio.TABLE1_EXPECTED:

@@ -166,8 +166,8 @@ def read_matrix_market(path) -> tuple:
                 raise MatrixMarketError(
                     f"{path}:{lineno}: symmetric matrix is not square ({size_line!r})")
 
-            seen = set()
-            triples = []
+            symmetric = symkind == "symmetric"
+            rows = [{} for _ in range(n_rows)]
             stored = 0
             for line in fh:
                 lineno += 1
@@ -188,20 +188,18 @@ def read_matrix_market(path) -> tuple:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
                     raise MatrixMarketError(
                         f"{path}:{lineno}: index ({r + 1}, {c + 1}) out of range")
-                if (r, c) in seen:
+                # first: an upper position may hold a mirrored lower entry
+                if symmetric and c > r:
+                    raise MatrixMarketError(
+                        f"{path}:{lineno}: upper-triangle entry in symmetric file")
+                row = rows[r]
+                if c in row:
                     raise MatrixMarketError(
                         f"{path}:{lineno}: duplicate entry ({r + 1}, {c + 1})")
-                seen.add((r, c))
+                row[c] = v
+                if symmetric:
+                    rows[c][r] = v
                 stored += 1
-                if symkind == "symmetric":
-                    if c > r:
-                        raise MatrixMarketError(
-                            f"{path}:{lineno}: upper-triangle entry in symmetric file")
-                    triples.append((r, c, v))
-                    if r != c:
-                        triples.append((c, r, v))
-                else:
-                    triples.append((r, c, v))
             if stored != declared:
                 raise MatrixMarketError(
                     f"{path}: size line declares {declared} entries, found {stored}")
@@ -209,14 +207,10 @@ def read_matrix_market(path) -> tuple:
         raise MatrixMarketError(
             f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
 
-    m = CsrMatrix.from_triples(n_rows, n_cols, triples)
-    if symkind == "symmetric":
-        symmetry = "symmetric"
-    else:
-        symmetry = detect_symmetry(m)
+    symmetry = "symmetric" if symmetric else _rows_symmetry(n_cols, rows)
     meta = MatrixMeta(_matrix_name_from_path(path), n_rows, n_cols,
                       stored, symmetry)
-    return m, meta
+    return CsrMatrix.from_rows(n_cols, rows), meta
 
 
 def write_matrix_market(path, m: CsrMatrix, symmetry: str = "general") -> None:
@@ -243,23 +237,27 @@ def write_matrix_market(path, m: CsrMatrix, symmetry: str = "general") -> None:
         fh.writelines(lines)
 
 
+def _rows_symmetry(n_cols: int, rows: list) -> str:
+    """Classify a matrix given as one ``{column: value}`` dict per row as
+    symmetric, structural or none."""
+    if len(rows) != n_cols:
+        return "none"
+    value_sym = True
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            w = rows[j].get(i)
+            if w is None:
+                return "none"
+            if w != v and j != i:
+                value_sym = False
+    return "symmetric" if value_sym else "structural"
+
+
 def detect_symmetry(m: CsrMatrix) -> str:
     """Classify a square matrix as symmetric, structural or none."""
-    if not m.is_square:
-        return "none"
-    vals = {}
-    for i, j, v in m.triples():
-        vals[(i, j)] = v
-    value_sym = True
-    for (i, j), v in vals.items():
-        if i == j:
-            continue
-        w = vals.get((j, i))
-        if w is None:
-            return "none"
-        if w != v:
-            value_sym = False
-    return "symmetric" if value_sym else "structural"
+    rows = [dict(zip(m.col_ind[a:b], m.values[a:b]))
+            for a, b in zip(m.row_ptr, m.row_ptr[1:])]
+    return _rows_symmetry(m.n_cols, rows)
 
 
 def symmetrize_lower(m: CsrMatrix) -> CsrMatrix:
@@ -423,17 +421,9 @@ def write_mesh(path, mesh: TriMesh) -> None:
 def _with_diagonal(rows, absum) -> CsrMatrix:
     """CSR from per-row ``{column: value}`` dicts that hold no diagonal
     entry; row ``i`` gains ``1 + absum[i]`` on its diagonal."""
-    n = len(rows)
-    row_ptr = [0]
-    col_ind = []
-    values = []
     for i, row in enumerate(rows):
         row[i] = 1.0 + absum[i]
-        cols = sorted(row)
-        col_ind += cols
-        values += map(row.__getitem__, cols)
-        row_ptr.append(len(col_ind))
-    return CsrMatrix(n, n, row_ptr, col_ind, values)
+    return CsrMatrix.from_rows(len(rows), rows)
 
 
 def _dominant(n, off) -> CsrMatrix:

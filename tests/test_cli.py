@@ -292,6 +292,41 @@ def test_corrupted_cell_fails_run(tiny_tree, monkeypatch):
     assert (results / "base" / "SPMATVEC__tiny.err").exists()
 
 
+_NOT_FINITE = ("%%MatrixMarket matrix coordinate real general\n"
+               "2 2 2\n1 1 nan\n2 2 inf\n")
+
+
+def test_a_matrix_with_a_value_that_is_not_finite_fails_its_cells(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "bad.mtx").write_text(_NOT_FINITE)
+    results = tmp_path / "results"
+    code = main(["run", "--bench", "SPMATVEC", "TRMAT", "--matrix", "bad",
+                 "--data-dir", str(data), "--results-dir", str(results),
+                 "--policy", "0,3,min", "--config", "base"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "base SPMATVEC bad: failed: HarnessError",
+        "base TRMAT bad: failed: HarnessError", "0/2 cells measured"]
+    for bench in ("SPMATVEC", "TRMAT"):
+        assert (results / "base" / f"{bench}__bad.err").read_text() == \
+            "HarnessError: matrix bad: entry (1, 1) is nan, not finite\n"
+
+
+def test_verify_fails_a_matrix_with_a_value_that_is_not_finite(tmp_path, capsys):
+    args = ["verify", "--data-dir", str(tmp_path), "--fixtures", "4"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out.splitlines()
+    (tmp_path / "add32.mtx").write_text(_NOT_FINITE)
+    assert main(args) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = clean.index("SKIP scale:add32: not generated; skipped")
+    assert out[i] == ("FAIL scale:add32: HarnessError: matrix add32: "
+                      "entry (1, 1) is nan, not finite")
+    assert out[:i] + out[i + 1:-1] == clean[:i] + clean[i + 1:-1]
+    assert out[-1] == "verify: 12 passed, 1 failed, 4 skipped"
+
+
 def test_aggregate_without_base_fails(tmp_path, capsys):
     (tmp_path / "results" / "opt1").mkdir(parents=True)
     code = main(["aggregate", "--results-dir", str(tmp_path / "results")])

@@ -4,8 +4,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_with_gc_off, col_elements, csr_matrices, hex_csr, row_major
+from conftest import (FLOATS, build_with_gc_off, col_elements, csr_matrices,
+                      hex_csr, row_major)
 from sparkbench.core import (
     CsrMatrix,
     DimensionError,
@@ -50,9 +52,12 @@ def random_csr(rng, n=None, allow_empty_diag=False):
 
 
 def test_sparse_element_has_no_dict():
-    e = SparseElement(1.5, 2)
-    assert e.value == 1.5 and e.col == 2
-    assert e.next_in_row is None and e.next_in_col is None
+    e = csr_to_linked(small_csr()).first_in_row[0]
+    slots = _slots(e)  # raises on a slot the builder left unset
+    assert (slots["value"], slots["col"], slots["row"], slots["next_in_col"]) == \
+        (1.0, 0, None, None)
+    assert slots["next_in_row"].col == 2
+    assert not hasattr(e, "__dict__")
     with pytest.raises(AttributeError):
         e.extra = 1
 
@@ -69,6 +74,52 @@ def test_from_triples_sorts_row_major():
 def test_from_triples_rejects_duplicates():
     with pytest.raises(ParameterError):
         CsrMatrix.from_triples(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+
+
+@st.composite
+def shuffled_entries(draw):
+    """(n_rows, n_cols, triples): distinct positions in any order."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    cells = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=40))) if n_rows and n_cols else []
+    values = draw(st.lists(FLOATS, min_size=len(cells), max_size=len(cells)))
+    triples = [(i, j, v) for (i, j), v in zip(cells, values)]
+    return n_rows, n_cols, draw(st.permutations(triples))
+
+
+def _row_major_csr(n_rows, n_cols, triples):
+    """CSR built row by row, from each row's entries sorted by column."""
+    rows = [sorted((j, v) for r, j, v in triples if r == i) for i in range(n_rows)]
+    row_ptr = [0]
+    for row in rows:
+        row_ptr.append(row_ptr[-1] + len(row))
+    return CsrMatrix(n_rows, n_cols, row_ptr, [j for row in rows for j, _ in row],
+                     [v for row in rows for _, v in row])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=shuffled_entries())
+def test_from_triples_in_any_order_is_the_row_major_csr(case):
+    m = CsrMatrix.from_triples(*case)
+    assert hex_csr(m) == hex_csr(_row_major_csr(*case))
+    m.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=shuffled_entries(), data=st.data())
+def test_from_triples_rejects_a_repeat_or_an_entry_out_of_range(case, data):
+    n_rows, n_cols, triples = case
+    if triples:
+        i, j, _ = data.draw(st.sampled_from(triples))
+        again = data.draw(st.permutations(triples + [(i, j, 1.0)]))
+        with pytest.raises(ParameterError, match="duplicate"):
+            CsrMatrix.from_triples(n_rows, n_cols, again)
+    outside = data.draw(st.sampled_from(
+        [(-1, 0), (n_rows, 0), (0, -1), (0, n_cols)]))
+    bad = data.draw(st.permutations(triples + [(*outside, 1.0)]))
+    with pytest.raises(ParameterError, match="outside"):
+        CsrMatrix.from_triples(n_rows, n_cols, bad)
 
 
 def test_validate_catches_bad_structure():

@@ -94,6 +94,9 @@ def test_read_symmetric_mirrors_lower(tmp_path):
      "out of range"),
     ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5\n",
      "upper"),
+    # the upper position already holds the first entry's mirror
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 5\n1 2 5\n",
+     "m.mtx:4: upper-triangle entry in symmetric file"),
     ("not a header\n1 1 1\n1 1 1\n", "header"),
     ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n",
      "m.mtx:2: bad size line '-2 2 0'"),
@@ -176,6 +179,31 @@ def test_symmetric_write_then_read_gives_the_input_back(m, fortran, tmp_path_fac
     assert hex_csr(back) == hex_csr(m)
     assert meta.entries == sum(1 for i, j, _ in m.triples() if i >= j)
     assert meta.symmetry == "symmetric"
+
+
+def _negate_upper(m):
+    return CsrMatrix.from_triples(m.n_rows, m.n_cols,
+                                  [(i, j, -v if j > i else v) for i, j, v in m.triples()])
+
+
+@st.composite
+def all_symmetry_classes(draw):
+    """(matrix, symmetry to write it with): rectangular, square, mirrored,
+    and mirrored with its upper values negated."""
+    m = draw(csr_matrices(square=draw(st.booleans())))
+    if not m.is_square:
+        return m, "general"
+    sym = symmetrize_lower(m)
+    return draw(st.sampled_from([(m, "general"), (sym, "general"),
+                                 (sym, "symmetric"), (_negate_upper(sym), "general")]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=all_symmetry_classes())
+def test_the_readers_symmetry_class_is_detect_symmetry_of_its_matrix(case,
+                                                                     tmp_path_factory):
+    back, meta = _write_then_read(tmp_path_factory.mktemp("mm"), *case, False)
+    assert meta.symmetry == detect_symmetry(back)
 
 
 def test_write_symmetric_keeps_lower_only(tmp_path):
