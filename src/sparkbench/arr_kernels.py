@@ -28,6 +28,7 @@ from .core import (
     PermutationError,
     SymmetryError,
 )
+from .matio import detect_symmetry
 
 
 def local_stiffness(p1, p2, p3) -> list:
@@ -168,17 +169,6 @@ def bandwidth(m: CsrMatrix) -> int:
     return best
 
 
-def _pattern_is_symmetric(m: CsrMatrix) -> bool:
-    pairs = set()
-    for i in range(m.n_rows):
-        for k in range(m.row_ptr[i], m.row_ptr[i + 1]):
-            pairs.add((i, m.col_ind[k]))
-    for i, j in pairs:
-        if i != j and (j, i) not in pairs:
-            return False
-    return True
-
-
 def cmck(m: CsrMatrix) -> Permutation:
     """Cuthill-McKee ordering of a structurally symmetric matrix.
 
@@ -191,7 +181,7 @@ def cmck(m: CsrMatrix) -> Permutation:
     """
     if not m.is_square:
         raise DimensionError("cmck requires a square matrix")
-    if not _pattern_is_symmetric(m):
+    if detect_symmetry(m) == "none":
         raise SymmetryError("cmck requires a structurally symmetric pattern")
     return _cmck_order(m)
 

@@ -35,10 +35,12 @@ run never rescans the cell's storage.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import statistics
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -298,6 +300,20 @@ def matrix_file(data_dir, name: str) -> Path:
         raise HarnessError(
             f"matrix {name!r} not found at {path}; run the gen command first")
     return path
+
+
+def admit_matrix(path) -> tuple:
+    """``read_matrix_market(path)``, admitted as a benchmark input: a
+    stored nan or inf raises ``HarnessError`` naming the matrix and its
+    first such entry, 1-based, since no checksum can gate a kernel's
+    result on it. ``inspect``, ``run`` and ``verify`` read inputs here."""
+    m, meta = matio.read_matrix_market(path)
+    for k, v in enumerate(m.values):
+        if not math.isfinite(v):
+            i, j = bisect_right(m.row_ptr, k), m.col_ind[k] + 1
+            raise HarnessError(
+                f"matrix {meta.name}: entry ({i}, {j}) is {v!r}, not finite")
+    return m, meta
 
 
 def input_path(input_dir, matrix: str, kind: str, part: str) -> Path:

@@ -15,9 +15,10 @@ import argparse
 import sys
 
 from . import matio
-from .cells import BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, matrix_file
+from .cells import (BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, admit_matrix,
+                    matrix_file)
 from .core import SparkBenchError
-from .matio import MATRIX_NAMES, TABLE1_EXPECTED, read_matrix_market
+from .matio import MATRIX_NAMES, TABLE1_EXPECTED
 
 
 def _policy(args) -> TimingPolicy:
@@ -111,7 +112,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    m, meta = read_matrix_market(args.path)
+    m, meta = admit_matrix(args.path)
     print(f"{meta.name}: {meta.n_rows} x {meta.n_cols}, "
           f"{meta.entries} entries, symmetry {meta.symmetry}")
     if meta.name in TABLE1_EXPECTED:

@@ -114,6 +114,8 @@ class CsrMatrix:
     def from_triples(cls, n_rows: int, n_cols: int,
                      triples: Iterable[tuple]) -> "CsrMatrix":
         """Build a CSR matrix from (row, col, value) triples in any order."""
+        if n_rows < 0 or n_cols < 0:
+            raise DimensionError("negative dimension")
         rows = [{} for _ in range(n_rows)]
         for r, c, v in triples:
             if not (0 <= r < n_rows and 0 <= c < n_cols):

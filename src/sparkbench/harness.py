@@ -40,7 +40,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from bisect import bisect_right
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -63,6 +62,7 @@ from .cells import (
     SPMATMAT_COLS,
     HarnessError,
     TimingPolicy,
+    admit_matrix,
     check_cell,
     input_path,
     matrix_file,
@@ -494,19 +494,8 @@ class Prepared:
                 "warmup_runs": warmup_runs, "measured_runs": measured_runs}
 
 
-def _check_finite(m: CsrMatrix, name: str) -> None:
-    """Raise ``HarnessError`` naming the matrix and its first stored nan or
-    inf, 1-based: no checksum can gate a kernel's result on it."""
-    for k, v in enumerate(m.values):
-        if not math.isfinite(v):
-            i, j = bisect_right(m.row_ptr, k), m.col_ind[k] + 1
-            raise HarnessError(f"matrix {name}: entry ({i}, {j}) is {v!r}, not finite")
-
-
 def load_matrix(data_dir, name: str) -> CsrMatrix:
-    m, _meta = read_matrix_market(matrix_file(data_dir, name))
-    _check_finite(m, name)
-    return m
+    return admit_matrix(matrix_file(data_dir, name))[0]
 
 
 def prepare(benchmarks: list, matrices: list, data_dir, configs=()) -> Prepared:
@@ -874,8 +863,7 @@ def verify_matrix(data_dir, name: str) -> tuple:
     if not path.exists():
         return label, None, "not generated; skipped"
     try:
-        m, meta = read_matrix_market(path)
-        _check_finite(m, name)
+        m, meta = admit_matrix(path)
     except (matio.MatrixMarketError, OSError, HarnessError) as exc:
         return label, False, f"{type(exc).__name__}: {exc}"
     problems = []

@@ -341,19 +341,17 @@ def gen_spd(n: int, seed: int) -> CsrMatrix:
     if n <= 0:
         raise ParameterError("n must be positive")
     rng = random.Random(seed)
-    off = {}
+    rows = [{} for _ in range(n)]
+    absum = [0.0] * n
     for i in range(1, n):
         k = rng.randint(1, min(4, i))
         for j in rng.sample(range(i), k):
             v = rng.uniform(-1.0, 1.0)
-            off[(i, j)] = v
-            off[(j, i)] = v
-    row_abs = [0.0] * n
-    for (i, j), v in off.items():
-        row_abs[i] += abs(v)
-    triples = [(i, j, v) for (i, j), v in off.items()]
-    triples.extend((i, i, 1.0 + row_abs[i]) for i in range(n))
-    return CsrMatrix.from_triples(n, n, triples)
+            rows[i][j] = v
+            rows[j][i] = v
+            absum[i] += abs(v)
+            absum[j] += abs(v)
+    return _with_diagonal(rows, absum)
 
 
 def gen_arrow(n: int, seed: int) -> CsrMatrix:

@@ -17,7 +17,6 @@ from .core import (
     CsrMatrix,
     DimensionError,
     GeometryError,
-    LinkedRowMatrix,
     ParameterError,
     SingularMatrixError,
 )
@@ -70,33 +69,22 @@ class DenseSquare:
                 and self.n == other.n and self.cells == other.cells)
 
 
-def dense_of(m) -> DenseSquare:
-    """Densify any of the three sparse storage schemes.
+def dense_of(m: CsrMatrix) -> DenseSquare:
+    """Densify a CSR matrix.
 
     Absent entries become 0.0; explicitly stored zeros are
     indistinguishable from absent ones afterwards. Guarded against
     accidental densification of large inputs.
     """
-    if isinstance(m, CsrMatrix):
-        if not m.is_square:
-            raise DimensionError("dense_of requires a square matrix")
-        n = m.n_rows
-        if n > _SIZE_GUARD:
-            raise ParameterError(f"refusing to densify n={n} > {_SIZE_GUARD}")
-        out = DenseSquare(n)
-        for i, j, v in m.triples():
-            out.cells[i * n + j] = v
-        return out
-    if isinstance(m, LinkedRowMatrix):
-        n = m.size
-        if n > _SIZE_GUARD:
-            raise ParameterError(f"refusing to densify n={n} > {_SIZE_GUARD}")
-        out = DenseSquare(n)
-        for i in range(n):
-            for e in m.row_elements(i):
-                out.cells[i * n + e.col] = e.value
-        return out
-    raise ParameterError(f"cannot densify {type(m).__name__}")
+    if not m.is_square:
+        raise DimensionError("dense_of requires a square matrix")
+    n = m.n_rows
+    if n > _SIZE_GUARD:
+        raise ParameterError(f"refusing to densify n={n} > {_SIZE_GUARD}")
+    out = DenseSquare(n)
+    for i, j, v in m.triples():
+        out.cells[i * n + j] = v
+    return out
 
 
 def csr_of(d: DenseSquare) -> CsrMatrix:

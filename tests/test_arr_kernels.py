@@ -26,7 +26,8 @@ from sparkbench.core import (
     PermutationError,
     SymmetryError,
 )
-from sparkbench.matio import gen_arrow, gen_pentadiagonal, gen_tri_mesh, symmetrize_lower
+from sparkbench.matio import (detect_symmetry, gen_arrow, gen_pentadiagonal, gen_tri_mesh,
+                              symmetrize_lower)
 from sparkbench.oracles import (
     csr_of,
     dense_assemble,
@@ -202,6 +203,23 @@ def test_cmck_rejects_asymmetric_pattern():
     # symmetrized, the same matrix passes the check
     p = cmck(symmetrize_lower(m))
     assert sorted(p.forward) == [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=csr_matrices(square=True), mirror=st.booleans())
+def test_cmck_refuses_exactly_what_detect_symmetry_calls_none(m, mirror):
+    cells = {(i, j): v for i, j, v in m.triples()}
+    if mirror:  # each entry's transpose added, with a value of its own
+        cells.update({(j, i): 2.0 * v + 1.0 for (i, j), v in list(cells.items())
+                      if (j, i) not in cells})
+        m = CsrMatrix.from_triples(m.n_rows, m.n_cols,
+                                   [(i, j, v) for (i, j), v in cells.items()])
+    assert (detect_symmetry(m) == "none") == (cells.keys() != {(j, i) for i, j in cells})
+    if detect_symmetry(m) == "none":
+        with pytest.raises(SymmetryError):
+            cmck(m)
+    else:
+        assert sorted(cmck(m).forward) == list(range(m.n_rows))
 
 
 def test_cmck_path_graph_is_identity_up_to_direction():

@@ -327,6 +327,14 @@ def test_verify_fails_a_matrix_with_a_value_that_is_not_finite(tmp_path, capsys)
     assert out[-1] == "verify: 12 passed, 1 failed, 4 skipped"
 
 
+def test_inspect_refuses_a_matrix_with_a_value_that_is_not_finite(tmp_path, capsys):
+    (tmp_path / "bad.mtx").write_text(_NOT_FINITE)
+    assert main(["inspect", str(tmp_path / "bad.mtx")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: matrix bad: entry (1, 1) is nan, not finite"]
+
+
 def test_aggregate_without_base_fails(tmp_path, capsys):
     (tmp_path / "results" / "opt1").mkdir(parents=True)
     code = main(["aggregate", "--results-dir", str(tmp_path / "results")])

@@ -120,6 +120,9 @@ def test_from_triples_rejects_a_repeat_or_an_entry_out_of_range(case, data):
     bad = data.draw(st.permutations(triples + [(*outside, 1.0)]))
     with pytest.raises(ParameterError, match="outside"):
         CsrMatrix.from_triples(n_rows, n_cols, bad)
+    negative = data.draw(st.sampled_from([(-1 - n_rows, n_cols), (n_rows, -1 - n_cols)]))
+    with pytest.raises(DimensionError, match="negative"):
+        CsrMatrix.from_triples(*negative, triples)
 
 
 def test_validate_catches_bad_structure():
