@@ -6,18 +6,17 @@ The runner imports ``cells`` once and freezes its heap, so a child
 starts without an interpreter spawn or an import and its collector
 never scans, or copies, what the runner built.
 
-Each line on stdin is one JSON job (see ``cells.run_job``). For each,
-the runner forks a child, which runs the cell and writes its payload
-(the run times and the digest, nothing else) as one JSON line on its
-stdout; the parent aggregates the runs and gates the digest against its
-reference. The cell's input is the raw arrays the parent wrote into
-``input_dir``; the job names no matrix directory and the cell parses no
-Matrix Market file. A failing child exits nonzero with its traceback on
-stderr. The runner captures the child's stdout and stderr in files,
-waits for it and answers with one JSON line of its own, {status,
-stdout, stderr}, where status is the child's exit status. So whatever a
-child prints, the runner's stdout carries one reply per job and
-nothing else.
+Each line from the parent is a verb and an optional JSON argument. The
+runner reads an ``open`` line, {benchmark, matrix, input_dir}, and forks
+a child that opens a ``cells.Cell`` on it and answers with JSON lines:
+"ready" once set up, the seconds of each ``run N`` line, then, for
+``digest``, the checksums, and exits. Until then the runner reads
+nothing: the child reads the cell's lines from the stdin both read
+unbuffered, and replies on a duplicate of the runner's stdout, its own
+stdout pointed at its stderr, so the runner's stdout carries only
+replies. A child that fails exits nonzero with its traceback on the
+stderr it shares with the runner, which replies {"exit": status} and
+exits.
 
 Only the runner side (``cells``) is imported, so the interpreter needs
 no numpy or scipy. Forking needs POSIX ``os.fork``.
@@ -27,20 +26,34 @@ import gc
 import json
 import os
 import sys
-import tempfile
 import traceback
 
-from .cells import run_job
+from .cells import Cell
 
 
-def _child(line: str, out, err) -> None:
-    """Run one job in a forked child with its output in ``out``/``err``;
-    never returns."""
+def _read(stdin) -> tuple:
+    """The next line on ``stdin`` as (verb, argument or None)."""
+    verb, _, arg = stdin.readline().decode().strip().partition(" ")
+    return verb, json.loads(arg) if arg else None
+
+
+def _child(cell: dict, stdin) -> None:
+    """Hold one cell's conversation in a forked child; never returns."""
     status = 1
     try:
-        os.dup2(out.fileno(), 1)
-        os.dup2(err.fileno(), 2)
-        print(json.dumps(run_job(json.loads(line))), flush=True)
+        replies = os.fdopen(os.dup(1), "w")
+        # fd 1 for what libraries write, sys.stdout to keep prints in order
+        os.dup2(2, 1)
+        sys.stdout = sys.stderr
+        with Cell(**cell) as opened:
+            print('"ready"', file=replies, flush=True)
+            verb, arg = _read(stdin)
+            while verb == "run":
+                print(json.dumps(opened.run(arg)), file=replies, flush=True)
+                verb, arg = _read(stdin)
+            if verb != "digest":
+                raise ValueError(f"expected run or digest, got {verb!r}")
+            print(json.dumps(opened.digest()), file=replies, flush=True)
         status = 0
     except BaseException:
         traceback.print_exc()
@@ -51,20 +64,17 @@ def _child(line: str, out, err) -> None:
 
 def main() -> int:
     gc.freeze()
-    for line in sys.stdin:
-        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-            pid = os.fork()
-            if pid == 0:
-                _child(line, out, err)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            out.seek(0)
-            err.seek(0)
-            reply = {"status": status,
-                     "stdout": out.read().decode(errors="replace"),
-                     "stderr": err.read().decode(errors="replace")}
-        print(json.dumps(reply), flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    stdin = open(0, "rb", buffering=0, closefd=False)
+    while True:
+        verb, cell = _read(stdin)
+        if not verb:
+            return 0
+        if verb != "open":
+            raise ValueError(f"expected open, got {verb!r}")
+        pid = os.fork()
+        if pid == 0:
+            _child(cell, stdin)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            print(json.dumps({"exit": status}), flush=True)
+            return 1

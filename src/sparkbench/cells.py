@@ -14,8 +14,8 @@ kinds): the matrix's CSR arrays, handed to setup as a ``CsrMatrix`` of
 plain lists, DSOLVE's LU factor of the matrix, whose rows setup reads
 from the files one at a time, MPERM's Cuthill-McKee ordering of it, or
 ASM's mesh with its assembly's pattern and slots; the last two are
-by-products of the references that gate CMCK and ASM. A job names that
-directory, never the matrix directory.
+by-products of the references that gate CMCK and ASM. A ``Cell`` is
+opened on that directory, never on the matrix directory.
 
 The one exception is the symmetrized matrix: CMCK's and MPERM's setups
 call ``symmetrize_lower``, though the parent builds the same matrix as
@@ -27,9 +27,11 @@ instead, MPERM's kernel read 7.56 -> 8.38 ms on sherman3 and 3.28 ->
 3.46 ms on spd2000s1 (2-vCPU host, Python 3.11, medians of 5 timed calls
 over 6 alternating rounds), with identical digests; CMCK's did not move.
 
-Setup runs with the cyclic garbage collector paused, and the heap it
-built is frozen while the kernel runs, so a collection during a timed
-run never rescans the cell's storage.
+A ``Cell`` holds one cell from setup to digest, so that the runner's
+child can answer the parent between phases (see ``_runner``). Setup
+runs with the cyclic garbage collector paused, and the heap it built is
+frozen while the kernel runs, so a collection during a timed run never
+rescans the cell's storage.
 """
 
 from __future__ import annotations
@@ -391,59 +393,53 @@ def load_input(benchmark: str, matrix: str, input_dir) -> tuple:
 
 # --- measurement -----------------------------------------------------------------
 
-def measure(benchmark: str, cell_input, warmup_runs: int,
-            measured_runs: int) -> tuple:
-    """Set up, run and digest one cell; returns (run seconds, checksums).
+class Cell:
+    """One (benchmark, matrix) cell; a context manager. Entering loads the
+    arrays the parent wrote into ``input_dir`` and runs setup; ``run(n)``
+    makes ``n`` kernel calls back to back and returns their seconds, and
+    ``digest()`` the checksums of the last call's result, not gated.
 
-    Setup and digest are untimed; only the kernel call sits between
-    clock reads. Setup runs with the cyclic collector paused, since
-    building a storage heap of a million nodes would otherwise cross
-    generation thresholds that rescan it. The heap is then frozen, not
-    collected, so the timed runs collect what they allocate without
-    scanning it. The caller's collector state is restored and nothing
-    stays frozen when this returns or raises. A test hook
+    Only the kernel call sits between clock reads. Setup runs with the
+    cyclic collector paused, since building a storage heap of a million
+    nodes would otherwise cross generation thresholds that rescan it.
+    The heap is then frozen, not collected, until the block exits, so the
+    timed runs collect what they allocate without scanning it; the
+    caller's collector state is restored once setup ends. A test hook
     (CORRUPT_ENV naming the benchmark) falsifies the digest so the
     parent's gate has a wrong answer to reject.
     """
-    bench = BENCHMARKS[benchmark]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        args = bench.setup(*cell_input)
-        # Frozen before the collector is back on: freezing resets the
-        # young generation's count, so no collection scans the new heap.
-        gc.freeze()
-        if enabled:
-            gc.enable()
-        for _ in range(warmup_runs):
-            bench.run(*args)
-        runs = []
-        result = None
-        for _ in range(measured_runs):
+
+    def __init__(self, benchmark: str, matrix: str, input_dir):
+        self.benchmark, self.matrix, self.input_dir = benchmark, matrix, input_dir
+
+    def __enter__(self) -> "Cell":
+        cell_input = load_input(self.benchmark, self.matrix, self.input_dir)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._args = BENCHMARKS[self.benchmark].setup(*cell_input)
+            # Frozen before the collector is back on: freezing resets the
+            # young generation's count, so no collection scans the new heap.
+            gc.freeze()
+        finally:
+            if enabled:
+                gc.enable()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.unfreeze()
+
+    def run(self, n: int) -> list:
+        run, args, runs = BENCHMARKS[self.benchmark].run, self._args, []
+        for _ in range(n):
             t0 = time.perf_counter_ns()
-            result = bench.run(*args)
+            self._result = run(*args)
             t1 = time.perf_counter_ns()
             runs.append((t1 - t0) / 1e9)
-        got = bench.digest(result)
-    finally:
-        gc.unfreeze()
-        if enabled:
-            gc.enable()
-    if os.environ.get(CORRUPT_ENV) == benchmark:
-        got = {k: v + 1.0 for k, v in got.items()}
-    return runs, got
+        return runs
 
-
-def run_job(job: dict) -> dict:
-    """Run the cell a job describes; returns what it measured, not gated.
-
-    A job is {benchmark, matrix, input_dir, warmup_runs, measured_runs}:
-    ``input_dir`` holds the arrays the parent wrote (see ``INPUT_PARTS``).
-    A grid cell's run counts are its ``TimingPolicy``'s; ``verify``'s
-    gate runs once, with no warmup. The payload is {runs, checksums};
-    the parent aggregates the runs and gates the checksums.
-    """
-    cell_input = load_input(job["benchmark"], job["matrix"], job["input_dir"])
-    runs, got = measure(job["benchmark"], cell_input, job["warmup_runs"],
-                        job["measured_runs"])
-    return {"runs": runs, "checksums": got}
+    def digest(self) -> dict:
+        got = BENCHMARKS[self.benchmark].digest(self._result)
+        if os.environ.get(CORRUPT_ENV) == self.benchmark:
+            got = {k: v + 1.0 for k, v in got.items()}
+        return got

@@ -4,30 +4,28 @@ Runs benchmark x matrix x configuration grids. Every cell executes in a
 fresh process under the configuration's interpreter and flag set: a
 child that the configuration's runner (``_runner``, one per
 configuration id and run, started and held by ``Prepared``) forks for
-it. The child runs the runner side in ``cells``: it performs its setup
-untimed, times only the kernel invocation under the given policy and
-returns the run times and a checksum of the kernel's result. The parent
-admits the cell only if that checksum matches an independently computed
-reference, and only then builds the cell's record and its seconds,
-which ``results`` writes into the results tree.
+it. The parent sends the child four lines (``_Runner``): ``open``, a
+``run`` count for the warmups and one for the measured runs, and
+``digest``. The child's ``cells.Cell`` performs its setup untimed,
+times only the kernel invocation and answers with the run times and a
+checksum of the kernel's result. The parent admits the cell only if
+that checksum matches an independently computed reference, and only
+then builds the cell's record and its seconds, which ``results`` writes
+into the results tree.
 
-The reference implementations used for the admission gate live here, not
-in the dense oracle module: they must scale to the full-size inputs, so
-they are built on numpy/scipy instead of brute-force dense loops. They
-share no code with the kernels and never run in a cell's interpreter.
-Kernels run in this process only to be checked, on inputs a reference
-made: ``verify_fixtures`` on small fixtures and ``verify_matrix`` for
-seven of its eight gates, through ``run_job``. A grid computes the
-references once per (benchmark, matrix), from one load of each matrix,
-before its first cell. That load is the only parse of the matrix: its
-CSR arrays, and what the references build on the way (DSOLVE's sparse LU
-factor, the Cuthill-McKee order that gates CMCK and is MPERM's ordering,
-ASM's mesh with the pattern and slots of its assembly), are handed to
-the cells as raw arrays. ``Prepared`` is the one way to make them, all
-in this process, while the runners start and import: DSOLVE's factor
-first, dropped once its arrays are written. ``verify_matrix`` prepares
-through it too and gates DSOLVE as a grid cell, in a child of a ``base``
-runner, so the parent never builds a node per entry of DSOLVE's factor.
+The references live here, not in the dense oracle module: they must
+scale to the full-size inputs, so they use numpy/scipy, share no code
+with the kernels and never run in a cell's interpreter. Kernels run in
+this process only to be checked: ``verify_fixtures`` on small fixtures
+and ``verify_matrix`` for seven of its eight gates, each in a
+``cells.Cell``. A grid reads each matrix once, before its first cell;
+``Prepared`` makes the references from that read and hands the cells
+its CSR arrays and what the references build on the way (DSOLVE's LU
+factor, the Cuthill-McKee order that gates CMCK and is MPERM's
+ordering, ASM's mesh with its assembly's pattern and slots) as raw
+arrays. ``verify_matrix`` prepares through it too and gates DSOLVE in a
+child of a ``base`` runner, so the parent never builds a node per entry
+of DSOLVE's factor.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -60,6 +58,7 @@ from .cells import (
     INPUT_PARTS,
     RHS_SALT,
     SPMATMAT_COLS,
+    Cell,
     HarnessError,
     TimingPolicy,
     admit_matrix,
@@ -69,7 +68,6 @@ from .cells import (
     pcg_params,
     probe_dense,
     probe_vector,
-    run_job,
     weighted_checksum,
 )
 from .core import CsrMatrix, ParameterError, Permutation
@@ -85,8 +83,8 @@ class OracleMismatchError(HarnessError):
 
 
 _GATE_RTOL = 1e-6
-# The directory holding the sparkbench package, put first on a cell's
-# PYTHONPATH so that any interpreter can import the runner.
+# The directory holding the sparkbench package, put first on a runner's
+# sys.path so that any interpreter, under any flags, imports this copy.
 _PACKAGE_ROOT = os.fspath(Path(__file__).resolve().parent.parent)
 
 
@@ -472,9 +470,7 @@ class Prepared:
         last one died."""
         runner = self._runners.get(config.id)
         if runner is None or not runner.alive():
-            if runner is not None:
-                runner.close()
-            runner = self._runners[config.id] = _Runner(_runner_command(config))
+            runner = self._runners[config.id] = _Runner(config)
             self._exit.callback(runner.close)
         return runner
 
@@ -486,12 +482,10 @@ class Prepared:
             raise ref
         return ref
 
-    def job(self, benchmark: str, matrix: str, warmup_runs: int,
-            measured_runs: int) -> dict:
-        """The runner's job for one cell."""
+    def job(self, benchmark: str, matrix: str) -> dict:
+        """A cell's ``open`` argument and ``Cell``'s keywords."""
         return {"benchmark": benchmark, "matrix": matrix,
-                "input_dir": os.fspath(self.input_dir),
-                "warmup_runs": warmup_runs, "measured_runs": measured_runs}
+                "input_dir": os.fspath(self.input_dir)}
 
 
 def load_matrix(data_dir, name: str) -> CsrMatrix:
@@ -522,30 +516,31 @@ def execute_cell(benchmark: str, matrix: str, data_dir, policy: TimingPolicy) ->
 
 def _runner_command(config: BenchConfig) -> list:
     interp = config.compiler_override or sys.executable
-    return [interp, *shlex.split(config.build_flags), "-m", "sparkbench._runner"]
+    return [interp, *shlex.split(config.build_flags), "-c",
+            f"import sys; sys.path.insert(0, {_PACKAGE_ROOT!r}); "
+            "import sparkbench._runner; sys.exit(sparkbench._runner.main())"]
 
 
-def _runner_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return env
+def _floats(values) -> bool:
+    return all(type(v) is float for v in values)
 
 
 class _Runner:
-    """A configuration's runner process (``sparkbench._runner``): a job
-    line in, a reply line out, one forked child per job.
+    """A configuration's runner process (``sparkbench._runner``): ``send``
+    writes a cell's lines, ``reply`` reads its child's answers.
 
-    The runner's own stderr goes to an anonymous file, so nothing it
-    writes there can block it; it is read once the runner has ended.
+    The runner and its children write their stderr to one anonymous file,
+    so nothing they write there can block them; a failed cell's tail is
+    read from where the file ended when the cell was sent.
     """
 
-    def __init__(self, command: list):
+    def __init__(self, config: BenchConfig):
+        self._config, self._err_start = config.id, 0
         self._err = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=self._err, env=_runner_env(), text=True)
+                _runner_command(config), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, stderr=self._err, text=True)
         except BaseException:
             self._err.close()
             raise
@@ -553,64 +548,62 @@ class _Runner:
     def alive(self) -> bool:
         return self._proc.poll() is None
 
-    def send(self, job: dict) -> None:
-        """Hand ``job`` to the runner without waiting for its child;
-        ``reply`` waits. A runner that cannot take the job is found dead
-        by ``reply``."""
-        try:
-            self._proc.stdin.write(json.dumps(job) + "\n")
+    def send(self, job: dict, warmup_runs: int, measured_runs: int) -> None:
+        """Write a cell's four lines, ``open`` with ``job``, ``run`` with
+        each count and ``digest``, without waiting for its child. A runner
+        that cannot take them is found dead by ``reply``."""
+        self._job, self._runs = job, (warmup_runs, measured_runs)
+        self._err_start = os.fstat(self._err.fileno()).st_size
+        with suppress(OSError):
+            self._proc.stdin.write(f"open {json.dumps(job)}\nrun {warmup_runs}\n"
+                                   f"run {measured_runs}\ndigest\n")
             self._proc.stdin.flush()
-        except OSError:
-            pass
 
-    def reply(self) -> tuple:
-        """(exit status, stdout, stderr) of the child that ran the job sent
-        last; or, when the runner died or answered with anything but a
-        reply, its own exit status and stderr, with no stdout."""
-        try:
-            reply = json.loads(self._proc.stdout.readline())
-            return reply["status"], reply["stdout"], reply["stderr"]
-        except (OSError, ValueError, TypeError, KeyError):
-            status, stderr = self.close()
-            return status, "", stderr
-
-    def run(self, job: dict) -> tuple:
-        """``send`` then ``reply``."""
-        self.send(job)
-        return self.reply()
-
-    def close(self) -> tuple:
-        """Close the runner's stdin and reap it; returns (exit status,
-        stderr). Closing again returns the same."""
-        if not self._err.closed:
-            self._proc.communicate()
-            self._err.seek(0)
-            self._stderr = self._err.read().decode(errors="replace")
-            self._err.close()
-        return self._proc.returncode, self._stderr
-
-
-def _payload(benchmark: str, matrix: str, config: BenchConfig, reply: tuple) -> dict:
-    """The payload in a runner's (exit status, stdout, stderr) reply.
-
-    A nonzero exit of the child, or of a runner that died, raises
-    ``HarnessError``: its first line names the cell, the configuration,
-    the exit status and the last line of the cell's stderr, and the
-    stderr tail (at most 500 characters) follows. So does a zero exit
-    whose stdout is no JSON object, marked "no payload".
-    """
-    status, stdout, stderr = reply
-    try:
-        payload = json.loads(stdout) if status == 0 else None
-    except json.JSONDecodeError:
-        payload = None
-    if not isinstance(payload, dict):
+    def reply(self) -> dict:
+        """The payload {runs, checksums} of the cell sent last. Any other
+        reply closes the runner and raises ``HarnessError``: the cell, the
+        configuration, the exit status (the child's {"exit": status}, else
+        the runner's; 0 reads "no payload") and the last line of the
+        cell's stderr, then its tail (at most 500 characters)."""
+        warmups, measured = self._runs
+        checks = [lambda r: r == "ready",
+                  lambda r: isinstance(r, list) and len(r) == warmups and _floats(r),
+                  lambda r: isinstance(r, list) and len(r) == measured and _floats(r),
+                  lambda r: isinstance(r, dict) and _floats(r.values())]
+        replies = []
+        for check in checks:
+            try:
+                replies.append(json.loads(self._proc.stdout.readline()))
+            except (OSError, ValueError):
+                replies.append(None)
+            if not check(replies[-1]):
+                break
+        else:
+            return {"runs": replies[2], "checksums": replies[3]}
+        status, stderr = self.close()
+        if isinstance(replies[-1], dict):
+            status = replies[-1].get("exit", status)
         tail = stderr.strip()[-500:]
         last = tail.splitlines()[-1] if tail else "no output on stderr"
         status = f"exit status {status}" if status else "no payload"
-        raise HarnessError(f"runner failed for {benchmark}/{matrix} under "
-                           f"{config.id} ({status}): {last}\n{tail}")
-    return payload
+        raise HarnessError(f"runner failed for {self._job['benchmark']}/"
+                           f"{self._job['matrix']} under {self._config} "
+                           f"({status}): {last}\n{tail}")
+
+    def run(self, job: dict, warmup_runs: int, measured_runs: int) -> dict:
+        """``send`` then ``reply``."""
+        self.send(job, warmup_runs, measured_runs)
+        return self.reply()
+
+    def close(self) -> tuple:
+        """Close the runner's stdin and reap it; returns (exit status, stderr
+        since the last ``send``). Closing again returns the same."""
+        if not self._err.closed:
+            self._proc.communicate()
+            self._err.seek(self._err_start)
+            self._stderr = self._err.read().decode(errors="replace")
+            self._err.close()
+        return self._proc.returncode, self._stderr
 
 
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
@@ -621,11 +614,11 @@ def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
     ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
     it holds the runner, the cell reads its arrays and is gated against
     its reference. The record is ``_admit``'s plus the configuration id.
-    A child or runner that fails raises ``_payload``'s ``HarnessError``.
+    A child or runner that fails raises ``_Runner.reply``'s ``HarnessError``.
     """
     ref = prep.reference(benchmark, matrix)
-    job = prep.job(benchmark, matrix, policy.warmup_runs, policy.measured_runs)
-    payload = _payload(benchmark, matrix, config, prep.runner(config).run(job))
+    payload = prep.runner(config).run(prep.job(benchmark, matrix),
+                                      policy.warmup_runs, policy.measured_runs)
     return {**_admit(benchmark, matrix, policy, payload, ref), "config": config.id}
 
 
@@ -843,17 +836,13 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
 
 
 def verify_matrix(data_dir, name: str) -> tuple:
-    """Gate every matrix-driven kernel once on a full-size input.
-
-    Uses the harness admission checksums (the oracle module's dense
-    routines do not scale this far) and the parent-side comparison of a
-    grid cell, on one read of the matrix; each kernel runs once, with no
-    warmup. The inputs come from ``Prepared``, with one runner, for the
-    ``base`` configuration, that imports while the references are made.
-    DSOLVE runs as a grid cell does, in a child of that runner, so this
-    process never builds its storage of a node per factor entry. Its job
-    goes out first, and the other kernels run here, through ``run_job``,
-    while that child runs; DSOLVE is gated last. The detail keeps
+    """Gate every matrix-driven kernel once, with no warmup, on one read of
+    a full-size input, against the admission checksums (the oracle
+    module's dense routines do not scale this far). ``Prepared`` makes
+    the inputs while one ``base`` runner imports. DSOLVE's four lines go
+    to that runner first, so its child, not this process, builds the
+    storage of a node per factor entry, while the other kernels run here,
+    each in a ``Cell``; DSOLVE is gated last. The detail keeps
     ``BENCHMARK_ORDER``, one line per failing kernel.
     Returns (label, ok, detail) where ok is None when the matrix file has
     not been generated, and False when it is unreadable or stores nan or inf.
@@ -876,15 +865,17 @@ def verify_matrix(data_dir, name: str) -> tuple:
     with Prepared(benches, {name: m}, [base]) as prep:
         runner = prep.runner(base)
         if not isinstance(prep.refs[("DSOLVE", name)], Exception):
-            runner.send(prep.job("DSOLVE", name, 0, 1))
+            runner.send(prep.job("DSOLVE", name), 0, 1)
         for bname in sorted(benches, key=lambda b: b == "DSOLVE"):
             try:
                 ref = prep.reference(bname, name)
                 if bname == "DSOLVE":
-                    got = _payload(bname, name, base, runner.reply())
+                    got = runner.reply()["checksums"]
                 else:
-                    got = run_job(prep.job(bname, name, 0, 1))
-                if not _checksums_match(got["checksums"], ref):
+                    with Cell(**prep.job(bname, name)) as cell:
+                        cell.run(1)
+                        got = cell.digest()
+                if not _checksums_match(got, ref):
                     failed[bname] = f"{bname}: checksum mismatch"
             except Exception as exc:
                 failed[bname] = _failure(bname, exc)

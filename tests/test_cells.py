@@ -4,6 +4,7 @@ import dataclasses
 import dis
 import gc
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 
 from conftest import csr_matrices, other_interpreter
 from sparkbench import arr_kernels, cells, core, harness, ptr_kernels
-from sparkbench.cells import load_input, measure, read_csr, run_job
+from sparkbench.cells import Cell, read_csr
 from sparkbench.core import CsrMatrix
 from sparkbench.harness import (
     BENCHMARKS,
@@ -57,19 +58,22 @@ def test_cli_imports_neither_numpy_nor_scipy():
     assert _loaded_after_import("sparkbench.results") == "[]"
 
 
-def test_runner_env_puts_the_package_first(monkeypatch):
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["/a", "/b"]))
-    assert harness._runner_env()["PYTHONPATH"].split(os.pathsep) == [
-        os.fspath(SRC), "/a", "/b"]
-    monkeypatch.delenv("PYTHONPATH")
-    assert harness._runner_env()["PYTHONPATH"] == os.fspath(SRC)
+def test_isolated_configurations_find_the_package(tiny_data, tmp_path, monkeypatch):
+    # -I and -E ignore PYTHONPATH: the runner's command puts the package
+    # on sys.path itself
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    configs = [BenchConfig("base"), BenchConfig("iso", "-I"), BenchConfig("noenv", "-E")]
+    outcomes = run_suite(configs, ["TRMAT", "ASM"], ["tiny"], FAST, tiny_data,
+                         tmp_path / "results")
+    assert [(c, s) for c, _, _, s in outcomes] == [
+        (c.id, "ok") for c in configs for _ in range(2)]
 
 
 def test_other_interpreter_gates_without_numpy(tiny_data, tmp_path, monkeypatch):
     exe = other_interpreter(12)
     if exe is None:
         pytest.skip("no pyenv-managed CPython 3.12 to run cells under")
-    # the child finds sparkbench only through the PYTHONPATH the harness sets
+    # the child finds sparkbench only through the path the harness puts first
     monkeypatch.delenv("PYTHONPATH", raising=False)
     configs = [BenchConfig("base"), BenchConfig("py312", "", os.fspath(exe))]
     outcomes = run_suite(configs, ["TRMAT", "DSOLVE", "ASM"], ["tiny"], FAST,
@@ -125,35 +129,52 @@ def test_missing_matrix_fails_its_cells_only(tiny_data, tmp_path):
     assert "not found" in err
 
 
-def _asm_input():
-    """ASM's cell input as the parent hands it over."""
+@pytest.fixture()
+def asm_cell():
+    """ASM's cell on the input the parent hands over, not yet entered."""
     with harness.prepare(["ASM"], [], None) as prep:
-        return load_input("ASM", "none", prep.input_dir)
+        yield Cell(**prep.job("ASM", "none"))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_measure_restores_the_callers_gc_state(enabled):
-    cell_input = _asm_input()
+def test_measure_restores_the_callers_gc_state(enabled, asm_cell):
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        measure("ASM", cell_input, 0, 3)
+        with asm_cell as cell:
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() > 0
+            assert len(cell.run(3)) == 3
+            cell.digest()
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
     finally:
         (gc.enable if was else gc.disable)()
 
 
-def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch):
+def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch, asm_cell):
     def boom(*args):
         assert gc.get_freeze_count() > 0
         raise RuntimeError("kernel failed")
     monkeypatch.setitem(BENCHMARKS, "ASM",
                         dataclasses.replace(BENCHMARKS["ASM"], run=boom))
-    cell_input = _asm_input()
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="kernel failed"):
-        measure("ASM", cell_input, 0, 3)
+        with asm_cell as cell:
+            cell.run(3)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_cell_whose_setup_raises_restores_the_collector(monkeypatch, asm_cell):
+    def boom(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("setup failed")
+    monkeypatch.setitem(BENCHMARKS, "ASM",
+                        dataclasses.replace(BENCHMARKS["ASM"], setup=boom))
+    with pytest.raises(RuntimeError, match="setup failed"):
+        with asm_cell:
+            pass
     assert gc.isenabled()
     assert gc.get_freeze_count() == 0
 
@@ -181,10 +202,16 @@ def test_no_cell_parses_matrix_market_text(tiny_data):
 
 
 def test_the_runner_returns_only_run_times_and_checksums(tiny_data):
-    with harness.prepare(["TRMAT"], ["tiny"], tiny_data) as prep:
-        payload = run_job(prep.job("TRMAT", "tiny", 0, 3))
-    assert payload.keys() == {"runs", "checksums"}
-    assert len(payload["runs"]) == 3
+    with harness.prepare(["TRMAT"], ["tiny"], tiny_data, [BenchConfig("base")]) as prep:
+        proc = prep.runner(BenchConfig("base"))._proc
+        proc.stdin.write(f"open {json.dumps(prep.job('TRMAT', 'tiny'))}\n"
+                         "run 2\nrun 3\ndigest\n")
+        proc.stdin.flush()
+        replies = [json.loads(proc.stdout.readline()) for _ in range(4)]
+    assert replies[0] == "ready"
+    assert [len(r) for r in replies[1:3]] == [2, 3]
+    assert all(type(s) is float for s in replies[1] + replies[2])
+    assert replies[3].keys() == {"row_ptr", "col_ind", "values"}
 
 
 # --- the default configurations are A/A controls -----------------------------

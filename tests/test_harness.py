@@ -803,10 +803,10 @@ def test_no_runner_outlives_verify_matrix(tiny_data, monkeypatch, started):
     assert [p.args for p in started] == [harness._runner_command(BenchConfig("base"))]
     assert started[0].poll() is not None
 
-    def stop(*args):
+    def stop(*args, **kwargs):
         raise Stop
     # an in-process gate stops while DSOLVE's child may still be running
-    monkeypatch.setattr(harness, "run_job", stop)
+    monkeypatch.setattr(harness, "Cell", stop)
     with pytest.raises(Stop):
         verify_matrix(tiny_data, "tiny")
     assert len(started) == 2
@@ -835,22 +835,68 @@ def test_verify_matrix_gives_one_line_for_a_failing_dsolve_child(tiny_data,
     assert "\n" not in detail
 
 
+# A runner whose children print a line to stdout before each ``run``.
+STRAY_PRINT = ("import sparkbench._runner as r; run = r.Cell.run; "
+               "r.Cell.run = lambda c, n: print('Traceback (stray)') or run(c, n); "
+               "r.main()")
+
+
 def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
     root = tmp_path / "results"
-    base = BenchConfig("base")
+    # each passing cell writes to the stderr its runner's children share
+    base = BenchConfig("base", "-c " + shlex.quote(STRAY_PRINT))
     with prepare(["DSOLVE", "TRMAT"], ["tiny"], tiny_data) as prep:
         (prep.input_dir / "tiny.lu.values").unlink()
-        assert _record_cell(root, "DSOLVE", "tiny", base, FAST,
-                            prep) == "failed: HarnessError"
-        assert _record_cell(root, "TRMAT", "tiny", base, FAST, prep) == "ok"
-        # a cell's stderr is its own child's: one traceback
-        status, stdout, stderr = prep.runner(base).run(prep.job("DSOLVE", "tiny", 0, 3))
-        assert (status, stdout, stderr.count("Traceback")) == (1, "", 1)
-    assert len(started) == 1
+        assert [_record_cell(root, name, "tiny", base, FAST, prep)
+                for name in ("TRMAT", "DSOLVE", "TRMAT")] == [
+            "ok", "failed: HarnessError", "ok"]
+        # a cell's stderr is its own child's: one traceback, no stray print
+        runner = prep.runner(base)
+        with pytest.raises(HarnessError, match="exit status 1"):
+            runner.run(prep.job("DSOLVE", "tiny"), 0, 3)
+        stderr = runner.close()[1]
+        assert (stderr.count("Traceback"), "stray" in stderr) == (1, False)
+    # the failure ended the runner, and the next cell started another
+    assert len(started) == 2
     err = time_file_path(root, "base", "DSOLVE", "tiny").with_suffix(".err")
     assert err.read_text().startswith(
         "HarnessError: runner failed for DSOLVE/tiny under base (exit status 1): "
         "FileNotFoundError: ")
+
+
+# A runner whose first child to reach a second ``run`` line kills itself
+# there, after answering the first; ``{flag}`` marks that it happened.
+KILL_ONCE = """import os, signal, sparkbench._runner as r
+run = r.Cell.run
+def run_or_die(cell, n, seen=[]):
+    seen.append(n)
+    if len(seen) == 2 and not os.path.exists({flag!r}):
+        open({flag!r}, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run(cell, n)
+r.Cell.run = run_or_die
+r.main()
+"""
+
+
+def test_a_child_killed_between_two_runs_fails_only_its_cell(tiny_data, tmp_path,
+                                                             started):
+    root = tmp_path / "results"
+    flag = tmp_path / "killed"
+    killed = BenchConfig("killed", "-c " + shlex.quote(KILL_ONCE.format(flag=str(flag))))
+    outcomes = run_suite([BenchConfig("base"), killed], ["TRMAT", "CMCK"], ["tiny"],
+                         FAST, tiny_data, root)
+    assert flag.exists()
+    assert [(c, b, s) for c, b, _, s in outcomes] == [
+        ("base", "TRMAT", "ok"), ("base", "CMCK", "ok"),
+        ("killed", "TRMAT", "failed: HarnessError"), ("killed", "CMCK", "ok")]
+    err = time_file_path(root, "killed", "TRMAT", "tiny").with_suffix(".err")
+    assert err.read_text().splitlines()[0] == (
+        "HarnessError: runner failed for TRMAT/tiny under killed "
+        "(exit status -9): no output on stderr")
+    # the kill ended the runner; CMCK ran in a new one
+    assert [p.args for p in started] == [
+        harness._runner_command(c) for c in (BenchConfig("base"), killed, killed)]
 
 
 # --- the factorization ----------------------------------------------------------
@@ -923,10 +969,16 @@ def test_a_missing_interpreter_fails_only_its_configuration(tiny_data, tmp_path)
         ("ghost", "failed: FileNotFoundError"), ("ghost", "failed: FileNotFoundError")]
 
 
+def test_a_childs_stray_stdout_leaves_its_cell_ok(tiny_data):
+    chatty = BenchConfig("chatty", "-c " + shlex.quote(STRAY_PRINT))
+    with prepare(["TRMAT"], ["tiny"], tiny_data, [chatty]) as prep:
+        record = harness.run_cell_subprocess("TRMAT", "tiny", chatty, FAST, prep)
+        # the child's stdout is the runner's stderr: one print per run line
+        assert prep.runner(chatty).close() == (0, "Traceback (stray)\n" * 2)
+    assert len(record["runs"]) == 3
+
+
 @pytest.mark.parametrize("script", [
-    # a child that prints before its payload
-    "import sparkbench._runner as r; job = r.run_job; "
-    "r.run_job = lambda j: print('hello') or job(j); r.main()",
     # a runner that answers with text and exits
     "print('not a reply')",
     # a runner that answers with text and waits for more input
