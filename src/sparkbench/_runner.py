@@ -45,15 +45,15 @@ def _child(cell: dict, stdin) -> None:
         # fd 1 for what libraries write, sys.stdout to keep prints in order
         os.dup2(2, 1)
         sys.stdout = sys.stderr
-        with Cell(**cell) as opened:
-            print('"ready"', file=replies, flush=True)
+        opened = Cell(**cell)
+        print('"ready"', file=replies, flush=True)
+        verb, arg = _read(stdin)
+        while verb == "run":
+            print(json.dumps(opened.run(arg)), file=replies, flush=True)
             verb, arg = _read(stdin)
-            while verb == "run":
-                print(json.dumps(opened.run(arg)), file=replies, flush=True)
-                verb, arg = _read(stdin)
-            if verb != "digest":
-                raise ValueError(f"expected run or digest, got {verb!r}")
-            print(json.dumps(opened.digest()), file=replies, flush=True)
+        if verb != "digest":
+            raise ValueError(f"expected run or digest, got {verb!r}")
+        print(json.dumps(opened.digest()), file=replies, flush=True)
         status = 0
     except BaseException:
         traceback.print_exc()

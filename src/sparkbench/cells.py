@@ -28,10 +28,10 @@ instead, MPERM's kernel read 7.56 -> 8.38 ms on sherman3 and 3.28 ->
 over 6 alternating rounds), with identical digests; CMCK's did not move.
 
 A ``Cell`` holds one cell from setup to digest, so that the runner's
-child can answer the parent between phases (see ``_runner``). Setup
-runs with the cyclic garbage collector paused, and the heap it built is
-frozen while the kernel runs, so a collection during a timed run never
-rescans the cell's storage.
+child can answer the parent between phases (see ``_runner``); no other
+process makes one. Setup runs with the cyclic garbage collector paused,
+and the heap it built is frozen while the kernel runs, so a collection
+during a timed run never rescans the cell's storage.
 """
 
 from __future__ import annotations
@@ -394,40 +394,32 @@ def load_input(benchmark: str, matrix: str, input_dir) -> tuple:
 # --- measurement -----------------------------------------------------------------
 
 class Cell:
-    """One (benchmark, matrix) cell; a context manager. Entering loads the
-    arrays the parent wrote into ``input_dir`` and runs setup; ``run(n)``
-    makes ``n`` kernel calls back to back and returns their seconds, and
-    ``digest()`` the checksums of the last call's result, not gated.
+    """One (benchmark, matrix) cell, held by a runner's child from setup to
+    digest: every kernel call the parent gates, in a grid or in
+    ``verify``, is made by a ``Cell``. Making one loads the arrays the
+    parent wrote into ``input_dir`` and runs setup; ``run(n)`` makes ``n``
+    kernel calls back to back and returns their seconds, and ``digest()``
+    the checksums of the last call's result, not gated.
 
     Only the kernel call sits between clock reads. Setup runs with the
     cyclic collector paused, since building a storage heap of a million
     nodes would otherwise cross generation thresholds that rescan it.
-    The heap is then frozen, not collected, until the block exits, so the
-    timed runs collect what they allocate without scanning it; the
-    caller's collector state is restored once setup ends. A test hook
+    The heap is then frozen, not collected, and the collector turned on,
+    so the timed runs collect what they allocate without scanning it. The
+    child exits after the digest, so nothing is unfrozen. A test hook
     (CORRUPT_ENV naming the benchmark) falsifies the digest so the
     parent's gate has a wrong answer to reject.
     """
 
     def __init__(self, benchmark: str, matrix: str, input_dir):
-        self.benchmark, self.matrix, self.input_dir = benchmark, matrix, input_dir
-
-    def __enter__(self) -> "Cell":
-        cell_input = load_input(self.benchmark, self.matrix, self.input_dir)
-        enabled = gc.isenabled()
+        self.benchmark = benchmark
+        cell_input = load_input(benchmark, matrix, input_dir)
         gc.disable()
-        try:
-            self._args = BENCHMARKS[self.benchmark].setup(*cell_input)
-            # Frozen before the collector is back on: freezing resets the
-            # young generation's count, so no collection scans the new heap.
-            gc.freeze()
-        finally:
-            if enabled:
-                gc.enable()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        gc.unfreeze()
+        self._args = BENCHMARKS[benchmark].setup(*cell_input)
+        # Frozen before the collector is back on: freezing resets the
+        # young generation's count, so no collection scans the new heap.
+        gc.freeze()
+        gc.enable()
 
     def run(self, n: int) -> list:
         run, args, runs = BENCHMARKS[self.benchmark].run, self._args, []

@@ -16,16 +16,14 @@ into the results tree.
 The references live here, not in the dense oracle module: they must
 scale to the full-size inputs, so they use numpy/scipy, share no code
 with the kernels and never run in a cell's interpreter. Kernels run in
-this process only to be checked: ``verify_fixtures`` on small fixtures
-and ``verify_matrix`` for seven of its eight gates, each in a
-``cells.Cell``. A grid reads each matrix once, before its first cell;
-``Prepared`` makes the references from that read and hands the cells
-its CSR arrays and what the references build on the way (DSOLVE's LU
-factor, the Cuthill-McKee order that gates CMCK and is MPERM's
-ordering, ASM's mesh with its assembly's pattern and slots) as raw
-arrays. ``verify_matrix`` prepares through it too and gates DSOLVE in a
-child of a ``base`` runner, so the parent never builds a node per entry
-of DSOLVE's factor.
+this process only on ``verify_fixtures``' small fixtures: every gate,
+a grid's or ``verify_matrix``'s, runs in a runner's child. A grid reads
+each matrix once, before its first cell; ``Prepared`` makes the
+references from that read and hands the cells its CSR arrays and what
+the references build on the way (DSOLVE's LU factor, the Cuthill-McKee
+order that gates CMCK and is MPERM's ordering, ASM's mesh with its
+assembly's pattern and slots) as raw arrays. ``verify_matrix`` prepares
+through it too, so the parent never builds a kernel's storage.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .cells import (
     INPUT_PARTS,
     RHS_SALT,
     SPMATMAT_COLS,
-    Cell,
     HarnessError,
     TimingPolicy,
     admit_matrix,
@@ -466,10 +463,10 @@ class Prepared:
         self._exit.close()
 
     def runner(self, config: BenchConfig) -> "_Runner":
-        """The configuration's runner; a new one if it has none or its
-        last one died."""
+        """The configuration's runner; a new one if it has none, or its
+        last one died or still owes a cell's replies."""
         runner = self._runners.get(config.id)
-        if runner is None or not runner.alive():
+        if runner is None or not runner.idle():
             runner = self._runners[config.id] = _Runner(config)
             self._exit.callback(runner.close)
         return runner
@@ -535,7 +532,7 @@ class _Runner:
     """
 
     def __init__(self, config: BenchConfig):
-        self._config, self._err_start = config.id, 0
+        self._config, self._err_start, self._job = config.id, 0, None
         self._err = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
@@ -545,8 +542,9 @@ class _Runner:
             self._err.close()
             raise
 
-    def alive(self) -> bool:
-        return self._proc.poll() is None
+    def idle(self) -> bool:
+        """Alive, and owing no replies to a cell ``send`` wrote."""
+        return self._job is None and self._proc.poll() is None
 
     def send(self, job: dict, warmup_runs: int, measured_runs: int) -> None:
         """Write a cell's four lines, ``open`` with ``job``, ``run`` with
@@ -565,7 +563,8 @@ class _Runner:
         configuration, the exit status (the child's {"exit": status}, else
         the runner's; 0 reads "no payload") and the last line of the
         cell's stderr, then its tail (at most 500 characters)."""
-        warmups, measured = self._runs
+        (warmups, measured), job = self._runs, self._job
+        self._job = None
         checks = [lambda r: r == "ready",
                   lambda r: isinstance(r, list) and len(r) == warmups and _floats(r),
                   lambda r: isinstance(r, list) and len(r) == measured and _floats(r),
@@ -586,8 +585,8 @@ class _Runner:
         tail = stderr.strip()[-500:]
         last = tail.splitlines()[-1] if tail else "no output on stderr"
         status = f"exit status {status}" if status else "no payload"
-        raise HarnessError(f"runner failed for {self._job['benchmark']}/"
-                           f"{self._job['matrix']} under {self._config} "
+        raise HarnessError(f"runner failed for {job['benchmark']}/"
+                           f"{job['matrix']} under {self._config} "
                            f"({status}): {last}\n{tail}")
 
     def run(self, job: dict, warmup_runs: int, measured_runs: int) -> dict:
@@ -838,12 +837,14 @@ def verify_fixtures(seed: int = 2024, count: int = 40) -> list:
 def verify_matrix(data_dir, name: str) -> tuple:
     """Gate every matrix-driven kernel once, with no warmup, on one read of
     a full-size input, against the admission checksums (the oracle
-    module's dense routines do not scale this far). ``Prepared`` makes
-    the inputs while one ``base`` runner imports. DSOLVE's four lines go
-    to that runner first, so its child, not this process, builds the
-    storage of a node per factor entry, while the other kernels run here,
-    each in a ``Cell``; DSOLVE is gated last. The detail keeps
-    ``BENCHMARK_ORDER``, one line per failing kernel.
+    module's dense routines do not scale this far). Every gate runs in a
+    runner's child, as a grid's cell does. ``Prepared`` makes the inputs
+    while one ``base`` runner imports. DSOLVE's four lines go to that
+    runner first, so its child builds the storage of a node per factor
+    entry while the other seven kernels go one at a time to a second
+    ``base`` runner, started on first use; DSOLVE is gated last. A child
+    that fails ends its runner, so the next kernel starts another. The
+    detail keeps ``BENCHMARK_ORDER``, one line per failing kernel.
     Returns (label, ok, detail) where ok is None when the matrix file has
     not been generated, and False when it is unreadable or stores nan or inf.
     """
@@ -863,19 +864,18 @@ def verify_matrix(data_dir, name: str) -> tuple:
     base = DEFAULT_CONFIGS[0]
     failed = {}
     with Prepared(benches, {name: m}, [base]) as prep:
-        runner = prep.runner(base)
+        dsolve = prep.runner(base)
         if not isinstance(prep.refs[("DSOLVE", name)], Exception):
-            runner.send(prep.job("DSOLVE", name), 0, 1)
+            dsolve.send(prep.job("DSOLVE", name), 0, 1)
         for bname in sorted(benches, key=lambda b: b == "DSOLVE"):
             try:
                 ref = prep.reference(bname, name)
                 if bname == "DSOLVE":
-                    got = runner.reply()["checksums"]
+                    payload = dsolve.reply()
                 else:
-                    with Cell(**prep.job(bname, name)) as cell:
-                        cell.run(1)
-                        got = cell.digest()
-                if not _checksums_match(got, ref):
+                    # a second runner while ``dsolve`` owes DSOLVE's replies
+                    payload = prep.runner(base).run(prep.job(bname, name), 0, 1)
+                if not _checksums_match(payload["checksums"], ref):
                     failed[bname] = f"{bname}: checksum mismatch"
             except Exception as exc:
                 failed[bname] = _failure(bname, exc)

@@ -2,10 +2,10 @@
 
 import dataclasses
 import dis
-import gc
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 
 from conftest import csr_matrices, other_interpreter
 from sparkbench import arr_kernels, cells, core, harness, ptr_kernels
-from sparkbench.cells import Cell, read_csr
+from sparkbench.cells import read_csr
 from sparkbench.core import CsrMatrix
 from sparkbench.harness import (
     BENCHMARKS,
@@ -129,54 +129,31 @@ def test_missing_matrix_fails_its_cells_only(tiny_data, tmp_path):
     assert "not found" in err
 
 
-@pytest.fixture()
-def asm_cell():
-    """ASM's cell on the input the parent hands over, not yet entered."""
-    with harness.prepare(["ASM"], [], None) as prep:
-        yield Cell(**prep.job("ASM", "none"))
+# A runner whose TRMAT cells check the collector's rules: setup runs with
+# it off, each kernel call with it on and the setup's heap frozen.
+GC_RULES = """import dataclasses, gc, sparkbench._runner as r
+from sparkbench.cells import BENCHMARKS
+bench, frozen_at_setup = BENCHMARKS["TRMAT"], []
+def setup(*args):
+    assert not gc.isenabled(), "setup ran with the collector on"
+    frozen_at_setup.append(gc.get_freeze_count())
+    return bench.setup(*args)
+def run(*args):
+    assert gc.isenabled(), "a kernel call ran with the collector off"
+    assert gc.get_freeze_count() > frozen_at_setup[-1], "setup's heap is not frozen"
+    return bench.run(*args)
+BENCHMARKS["TRMAT"] = dataclasses.replace(bench, setup=setup, run=run)
+r.main()
+"""
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_measure_restores_the_callers_gc_state(enabled, asm_cell):
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with asm_cell as cell:
-            assert gc.isenabled() is enabled
-            assert gc.get_freeze_count() > 0
-            assert len(cell.run(3)) == 3
-            cell.digest()
-        assert gc.isenabled() is enabled
-        assert gc.get_freeze_count() == 0
-    finally:
-        (gc.enable if was else gc.disable)()
-
-
-def test_measure_leaves_nothing_frozen_when_run_raises(monkeypatch, asm_cell):
-    def boom(*args):
-        assert gc.get_freeze_count() > 0
-        raise RuntimeError("kernel failed")
-    monkeypatch.setitem(BENCHMARKS, "ASM",
-                        dataclasses.replace(BENCHMARKS["ASM"], run=boom))
-    assert gc.isenabled()
-    with pytest.raises(RuntimeError, match="kernel failed"):
-        with asm_cell as cell:
-            cell.run(3)
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
-
-
-def test_a_cell_whose_setup_raises_restores_the_collector(monkeypatch, asm_cell):
-    def boom(*args):
-        assert not gc.isenabled()
-        raise RuntimeError("setup failed")
-    monkeypatch.setitem(BENCHMARKS, "ASM",
-                        dataclasses.replace(BENCHMARKS["ASM"], setup=boom))
-    with pytest.raises(RuntimeError, match="setup failed"):
-        with asm_cell:
-            pass
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
+def test_a_childs_setup_pauses_the_collector_and_its_kernel_runs_frozen(tiny_data,
+                                                                       tmp_path):
+    checked = BenchConfig("base", "-c " + shlex.quote(GC_RULES))
+    root = tmp_path / "results"
+    outcomes = run_suite([checked], ["TRMAT"], ["tiny"], FAST, tiny_data, root)
+    assert [s for *_, s in outcomes] == ["ok"], (
+        root / "base" / "TRMAT__tiny.err").read_text()
 
 
 @settings(max_examples=150, deadline=None)

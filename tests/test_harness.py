@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -799,18 +800,53 @@ def test_no_runner_outlives_a_prepare_that_raises(tiny_data, monkeypatch, starte
 
 def test_no_runner_outlives_verify_matrix(tiny_data, monkeypatch, started):
     assert verify_matrix(tiny_data, "tiny")[1]
-    # DSOLVE's gate ran in a child of one base runner, reaped on return
-    assert [p.args for p in started] == [harness._runner_command(BenchConfig("base"))]
-    assert started[0].poll() is not None
+    # DSOLVE's gate ran in a child of one base runner and the other seven
+    # in children of a second; both are reaped on return
+    base = harness._runner_command(BenchConfig("base"))
+    assert [p.args for p in started] == [base, base]
+    assert all(p.poll() is not None for p in started)
 
     def stop(*args, **kwargs):
         raise Stop
-    # an in-process gate stops while DSOLVE's child may still be running
-    monkeypatch.setattr(harness, "Cell", stop)
+    # the parent stops at its first other gate while DSOLVE's child may
+    # still be running
+    monkeypatch.setattr(harness._Runner, "run", stop)
     with pytest.raises(Stop):
         verify_matrix(tiny_data, "tiny")
-    assert len(started) == 2
-    assert started[1].poll() is not None
+    assert len(started) == 4
+    assert all(p.poll() is not None for p in started)
+
+
+def test_verify_matrix_runs_no_kernel_in_this_process(tiny_data, monkeypatch):
+    def phase(*args):
+        raise AssertionError("a kernel's phase ran in the parent")
+    for name, bench in BENCHMARKS.items():
+        monkeypatch.setitem(BENCHMARKS, name, dataclasses.replace(
+            bench, setup=phase, run=phase, digest=phase))
+    assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
+
+
+# A runner whose TRMAT children kill themselves at their first ``run`` line.
+KILL_TRMAT = """import os, signal, sparkbench._runner as r
+run = r.Cell.run
+def run_or_die(cell, n):
+    if cell.benchmark == "TRMAT":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run(cell, n)
+r.Cell.run = run_or_die
+r.main()
+"""
+
+
+def test_a_dying_gate_child_fails_only_its_kernel(tiny_data, monkeypatch, started):
+    monkeypatch.setattr(harness, "_runner_command",
+                        lambda config: [sys.executable, "-c", KILL_TRMAT])
+    assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", False, (
+        "TRMAT: HarnessError: runner failed for TRMAT/tiny under base "
+        "(exit status -9): no output on stderr"))
+    # DSOLVE's runner, the gates' and, after TRMAT's ended, CMCK's and MPERM's
+    assert len(started) == 3
+    assert all(p.poll() is not None for p in started)
 
 
 def test_verify_matrix_never_builds_dsolves_storage_in_this_process(tiny_data,
