@@ -156,6 +156,77 @@ def test_a_childs_setup_pauses_the_collector_and_its_kernel_runs_frozen(tiny_dat
         root / "base" / "TRMAT__tiny.err").read_text()
 
 
+# A runner, its collector on or off, whose children log the collector state
+# they inherit from it before they open a cell, and whose TRMAT phases named
+# in `failing` log the child's state and raise.
+LOGGED = """import dataclasses, gc, os, sparkbench._runner as r
+from sparkbench.cells import BENCHMARKS
+(gc.enable if {enabled} else gc.disable)()
+def log(*fields):
+    with open({log!r}, "a") as f:
+        print(os.getppid(), *fields, gc.isenabled(), gc.get_freeze_count(), file=f)
+def raises(*args):
+    log("raised")
+    raise RuntimeError("TRMAT failed")
+for phase in {failing!r}:
+    BENCHMARKS["TRMAT"] = dataclasses.replace(BENCHMARKS["TRMAT"], **{{phase: raises}})
+Cell = r.Cell
+def logged(**cell):
+    log("open", cell["benchmark"])
+    return Cell(**cell)
+r.Cell = logged
+r.main()
+"""
+
+
+def _logged_cells(data, tmp_path, enabled=True, failing=()):
+    """Run TRMAT then CMCK on tiny under a LOGGED runner: (statuses, log lines)."""
+    log = tmp_path / "gc.log"
+    code = LOGGED.format(log=str(log), enabled=enabled, failing=failing)
+    root = tmp_path / "results"
+    outcomes = run_suite([BenchConfig("base", "-c " + shlex.quote(code))],
+                         ["TRMAT", "CMCK"], ["tiny"], FAST, data, root)
+    return [s for *_, s in outcomes], [l.split() for l in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_measure_restores_the_callers_gc_state(enabled, tiny_data, tmp_path):
+    # A cell's collector switches and freeze happen in its child, so the
+    # runner's next child inherits the runner's state unchanged.
+    statuses, lines = _logged_cells(tiny_data, tmp_path, enabled)
+    assert statuses == ["ok", "ok"]
+    (runner, *trmat, on, frozen), (same, *cmck, on_after, frozen_after) = lines
+    assert same == runner and trmat == ["open", "TRMAT"] and cmck == ["open", "CMCK"]
+    assert on == on_after == str(enabled)
+    assert int(frozen_after) <= int(frozen)
+
+
+def test_measure_leaves_nothing_frozen_when_run_raises(tiny_data, tmp_path):
+    statuses, lines = _logged_cells(tiny_data, tmp_path, failing=("run",))
+    assert statuses == ["failed: HarnessError", "ok"]
+    opened, raised, cmck = lines
+    assert opened[1:3] == ["open", "TRMAT"] and cmck[1:3] == ["open", "CMCK"]
+    # the failing kernel ran with setup's heap frozen; CMCK's child starts
+    # with none of it frozen
+    assert raised[1:3] == ["raised", "True"]
+    assert int(cmck[-1]) <= int(opened[-1]) < int(raised[-1])
+    err = (tmp_path / "results" / "base" / "TRMAT__tiny.err").read_text()
+    assert "RuntimeError: TRMAT failed" in err
+
+
+def test_a_cell_whose_setup_raises_restores_the_collector(tiny_data, tmp_path):
+    statuses, lines = _logged_cells(tiny_data, tmp_path, failing=("setup",))
+    assert statuses == ["failed: HarnessError", "ok"]
+    opened, raised, cmck = lines
+    assert opened[1:4] == ["open", "TRMAT", "True"]
+    # setup raised with the collector paused; CMCK's child starts with it on
+    assert raised[1:3] == ["raised", "False"]
+    assert cmck[1:4] == ["open", "CMCK", "True"]
+    assert int(cmck[-1]) <= int(opened[-1])
+    err = (tmp_path / "results" / "base" / "TRMAT__tiny.err").read_text()
+    assert "RuntimeError: TRMAT failed" in err
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=csr_matrices())
 @example(m=CsrMatrix(3, 2, [0, 2, 2, 3], [0, 1, 1], [-0.0, 5e-324, -1e-310]))
