@@ -8,23 +8,24 @@ errors (argparse's own convention).
 The parent-side ``harness`` (numpy and scipy) is imported only by
 ``run`` and ``verify``; ``gen``, ``inspect``, ``aggregate`` and
 ``report`` start without numpy and scipy, the last two through
-``results``.
+``results``. ``gen`` loads only ``matio`` and ``core``, not ``cells``.
 """
 
 import argparse
 import sys
 
 from . import matio
-from .cells import (BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, admit_matrix,
-                    matrix_file)
 from .core import SparkBenchError
 from .matio import MATRIX_NAMES, TABLE1_EXPECTED
 
 
-def _policy(args) -> TimingPolicy:
-    if args.policy is None:
-        return TimingPolicy()
-    return TimingPolicy.parse(args.policy)
+def _benchmark(name: str) -> str:
+    """``--bench``'s type: a registered benchmark's name."""
+    from .cells import BENCHMARKS
+    if name not in BENCHMARKS:
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmark {name!r}; choose from {', '.join(BENCHMARKS)}")
+    return name
 
 
 def cmd_gen(args) -> int:
@@ -42,6 +43,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     from . import harness
+    from .cells import BENCHMARK_ORDER, BENCHMARKS, TimingPolicy, matrix_file
     if args.config_file:
         configs = harness.parse_config_file(args.config_file)
     else:
@@ -60,7 +62,9 @@ def cmd_run(args) -> int:
         for name in matrices:
             matrix_file(args.data_dir, name)
 
-    outcomes = harness.run_suite(configs, benchmarks, matrices, _policy(args),
+    policy = (TimingPolicy() if args.policy is None
+              else TimingPolicy.parse(args.policy))
+    outcomes = harness.run_suite(configs, benchmarks, matrices, policy,
                                  args.data_dir, args.results_dir)
     failed = 0
     for cid, bench, mat, status in outcomes:
@@ -112,6 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .cells import admit_matrix
     m, meta = admit_matrix(args.path)
     print(f"{meta.name}: {meta.n_rows} x {meta.n_cols}, "
           f"{meta.entries} entries, symmetry {meta.symmetry}")
@@ -139,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="configuration ids to run (default: all defined)")
     p_run.add_argument("--config-file", metavar="PATH",
                        help="configuration definition file (id/cflags/cc lines)")
-    p_run.add_argument("--bench", nargs="+", choices=BENCHMARK_ORDER,
+    p_run.add_argument("--bench", nargs="+", type=_benchmark,
                        metavar="NAME", help="benchmarks (default: all)")
     p_run.add_argument("--matrix", nargs="+", metavar="NAME",
                        help="matrix names (default: the five standard inputs)")

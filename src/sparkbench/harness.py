@@ -379,8 +379,14 @@ BENCHMARKS.update({name: dataclasses.replace(BENCHMARKS[name], reference=ref)
                        ("PCG", _ref_pcg), ("ASM", _ref_asm), ("TRMAT", _ref_trmat),
                        ("CMCK", _ref_cmck), ("MPERM", _ref_mperm)]})
 
-POINTER_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "pointer"]
-ARRAY_BENCHMARKS = [n for n, b in BENCHMARKS.items() if b.family == "array"]
+
+def __getattr__(name):
+    """``POINTER_BENCHMARKS`` and ``ARRAY_BENCHMARKS``, read from the
+    kernels' code when asked for, not at every import of this module."""
+    family = {"POINTER_BENCHMARKS": "pointer", "ARRAY_BENCHMARKS": "array"}.get(name)
+    if family is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return [n for n, b in BENCHMARKS.items() if b.family == family]
 
 
 # --- prepared inputs ------------------------------------------------------------

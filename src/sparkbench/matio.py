@@ -265,18 +265,23 @@ def symmetrize_lower(m: CsrMatrix) -> CsrMatrix:
 
     The result is lower(m) union transpose(lower(m)) with the diagonal
     kept as stored; any upper-triangle values of the input are
-    discarded. Output equals its own transpose, pattern and values.
+    discarded. Output equals its own transpose, pattern and values. Both
+    entries of a mirrored pair are the input's one float object, and an
+    entry on or below the diagonal keeps the input's column object: MPERM
+    is timed on this layout (see ``cells``).
     """
     if not m.is_square:
         raise DimensionError("symmetrize_lower requires a square matrix")
-    triples = []
-    for r, c, v in m.triples():
-        if r > c:
-            triples.append((r, c, v))
-            triples.append((c, r, v))
-        elif r == c:
-            triples.append((r, c, v))
-    return CsrMatrix.from_triples(m.n_rows, m.n_cols, triples)
+    rows = [{} for _ in range(m.n_rows)]
+    for r, (a, b) in enumerate(zip(m.row_ptr, m.row_ptr[1:])):
+        row = rows[r]
+        for c, v in zip(m.col_ind[a:b], m.values[a:b]):
+            if c < r:
+                row[c] = v
+                rows[c][r] = v
+            elif c == r:
+                row[c] = v
+    return CsrMatrix.from_rows(m.n_cols, rows)
 
 
 def validate_characteristics(meta: MatrixMeta,
@@ -316,18 +321,12 @@ def gen_banded(n: int, bands: list, seed: int) -> CsrMatrix:
         if not (0.0 <= density <= 1.0):
             raise ParameterError(f"band density {density} outside [0, 1]")
     rng = random.Random(seed)
-    entries = {}
-    for i in range(n):
-        entries[(i, i)] = rng.uniform(-1.0, 1.0)
-    for off, density, vrange in bands:
-        lo, hi = vrange
-        start = max(0, -off)
-        stop = min(n, n - off)
-        for i in range(start, stop):
+    rows = [{i: rng.uniform(-1.0, 1.0)} for i in range(n)]
+    for off, density, (lo, hi) in bands:
+        for i in range(max(0, -off), min(n, n - off)):
             if rng.random() < density:
-                entries[(i, i + off)] = rng.uniform(lo, hi)
-    return CsrMatrix.from_triples(
-        n, n, [(r, c, v) for (r, c), v in entries.items()])
+                rows[i][i + off] = rng.uniform(lo, hi)
+    return CsrMatrix.from_rows(n, rows)
 
 
 def gen_spd(n: int, seed: int) -> CsrMatrix:
@@ -363,14 +362,10 @@ def gen_arrow(n: int, seed: int) -> CsrMatrix:
     if n <= 0:
         raise ParameterError("n must be positive")
     rng = random.Random(seed)
-    triples = []
-    for i in range(n):
-        triples.append((i, i, 1.0 + rng.random()))
+    rows = [{i: 1.0 + rng.random()} for i in range(n)]
     for j in range(1, n):
-        v = rng.uniform(-1.0, 1.0)
-        triples.append((0, j, v))
-        triples.append((j, 0, v))
-    return CsrMatrix.from_triples(n, n, triples)
+        rows[0][j] = rows[j][0] = rng.uniform(-1.0, 1.0)
+    return CsrMatrix.from_rows(n, rows)
 
 
 def gen_pentadiagonal(n: int, seed: int) -> CsrMatrix:

@@ -90,18 +90,9 @@ def dense_of(m: CsrMatrix) -> DenseSquare:
 def csr_of(d: DenseSquare) -> CsrMatrix:
     """Sparsify a dense block, dropping exact zeros."""
     n = d.n
-    row_ptr = [0] * (n + 1)
-    col_ind = []
-    values = []
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            v = d.cells[base + j]
-            if v != 0.0:
-                col_ind.append(j)
-                values.append(v)
-        row_ptr[i + 1] = len(col_ind)
-    return CsrMatrix(n, n, row_ptr, col_ind, values)
+    return CsrMatrix.from_rows(n, [
+        {j: v for j, v in enumerate(d.cells[i * n:(i + 1) * n]) if v != 0.0}
+        for i in range(n)])
 
 
 def dense_matvec(a: DenseSquare, x: list) -> list:

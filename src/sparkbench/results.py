@@ -107,14 +107,15 @@ def write_time_file(path, record: dict) -> None:
 def parse_time_file(path) -> dict:
     """Read a .time file; text that is not such a JSON object, a missing
     key, a cut last line, names that are not strings, checksums that are
-    not an object or seconds that are not finite and positive make it
-    malformed."""
+    not an object or seconds that are not a finite positive int or float
+    (a bool is neither) make it malformed."""
     try:
         text = Path(path).read_text(encoding="ascii")
         out = json.loads(text)
         ok = (text.endswith("\n") and all(k in out for k in _TIME_KEYS)
               and isinstance(out["benchmark"], str) and isinstance(out["matrix"], str)
               and isinstance(out["checksums"], dict)
+              and type(out["seconds"]) in (int, float)
               and math.isfinite(out["seconds"]) and out["seconds"] > 0)
     except (ValueError, TypeError):
         ok = False

@@ -105,11 +105,15 @@ def test_a_failing_standin_fails_gen(tmp_path, monkeypatch, capsys):
 
 def test_gen_loads_no_process_pool(tmp_path):
     # a gen run in a fresh interpreter, as ``_loaded_after_import`` in
-    # test_cells.py checks an import
+    # test_cells.py checks an import; gen needs matio and core, not the
+    # kernel registry
+    unused = ["sparkbench.cells", "sparkbench.harness", "sparkbench.ptr_kernels",
+              "sparkbench.arr_kernels", "sparkbench.patterns"]
     code = ("import sys; from sparkbench.cli import main; "
             f"main(['gen', '--data-dir', {os.fspath(tmp_path)!r}]); "
             "print(sorted(m for m in sys.modules if m == 'multiprocessing' "
-            "or m.startswith(('multiprocessing.', 'concurrent.futures'))))")
+            "or m.startswith(('multiprocessing.', 'concurrent.futures')) "
+            f"or m in {unused!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"

@@ -598,7 +598,7 @@ def test_aggregate_skips_truncated_time_file(tmp_path):
             "fast TRMAT add32 0.125000 0.100000\n", "")
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("seconds", [float("nan"), 0.0, -1.0, True])
 def test_aggregate_skips_time_file_without_positive_seconds(tmp_path, seconds):
     root = tmp_path / "results"
     golden_tree(root)

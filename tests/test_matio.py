@@ -237,6 +237,34 @@ def test_symmetrize_lower():
     assert detect_symmetry(s) == "symmetric"
 
 
+def _after_300_empty_rows(m):
+    """``m`` in the lower right corner of an order ``n + 300`` matrix: its
+    columns are then ints above 256, which CPython does not cache, so
+    ``is`` tells an input's column object from an equal one."""
+    return CsrMatrix(m.n_rows + 300, m.n_cols + 300, [0] * 300 + m.row_ptr,
+                     [c + 300 for c in m.col_ind], m.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=csr_matrices(square=True).map(_after_300_empty_rows))
+def test_symmetrize_lower_keeps_the_input_objects(m):
+    # MPERM is timed on this layout: both entries of a mirrored pair are the
+    # input's one float object, and an entry on or below the diagonal keeps
+    # the input's column object
+    def positions(a):
+        return {(i, a.col_ind[k]): k for i in range(a.n_rows)
+                for k in range(a.row_ptr[i], a.row_ptr[i + 1])}
+    s = symmetrize_lower(m)
+    given_at, got_at = positions(m), positions(s)
+    assert got_at.keys() == ({(i, j) for i, j in given_at if j <= i}
+                             | {(j, i) for i, j in given_at if j < i})
+    for (i, j), k in got_at.items():
+        lower = given_at[max(i, j), min(i, j)]
+        assert s.values[k] is m.values[lower]
+        if j <= i:
+            assert s.col_ind[k] is m.col_ind[lower]
+
+
 def test_validate_characteristics_outcomes():
     expected = MatrixMeta("x", 10, 10, 30, "none")
     ok = validate_characteristics(MatrixMeta("x", 10, 10, 30, "none"), expected)
@@ -372,10 +400,15 @@ def test_generated_bytes_are_the_same_under_other_interpreters(tmp_path, minor):
     exe = other_interpreter(minor)
     if exe is None:
         pytest.skip(f"no pyenv-managed CPython 3.{minor} to generate under")
-    for extra in ([], ["--spd", "2000", "--seed", "1"]):
+    def gen(data_dir, *extra):
         subprocess.run([exe, "-m", "sparkbench.cli", "gen", "--data-dir",
-                        tmp_path, *extra], check=True, stdout=subprocess.DEVNULL)
-    assert sha256_of(tmp_path.iterdir()) == GENERATED_SHA256
+                        data_dir, *extra], check=True, stdout=subprocess.DEVNULL)
+    gen(tmp_path / "standins")
+    gen(tmp_path / "standins", "--spd", "2000", "--seed", "1")
+    gen(tmp_path / "families", "--spd", "12", "--banded", "10", "--arrow", "8",
+        "--mesh", "2", "2", "--seed", "3")
+    assert sha256_of((tmp_path / "standins").iterdir()) == GENERATED_SHA256
+    assert sha256_of((tmp_path / "families").iterdir()) == FAMILY_SHA256
 
 
 def test_matrix_path_naming(tmp_path):
