@@ -4,14 +4,14 @@ Runs benchmark x matrix x configuration grids. Every cell executes in a
 fresh process under the configuration's interpreter and flag set: a
 child that the configuration's runner (``_runner``, one per
 configuration id and run, started and held by ``Prepared``) forks for
-it. The parent sends the child four lines (``_Runner``): ``open``, a
-``run`` count for the warmups and one for the measured runs, and
-``digest``. The child's ``cells.Cell`` performs its setup untimed,
-times only the kernel invocation and answers with the run times and a
-checksum of the kernel's result. The parent admits the cell only if
-that checksum matches an independently computed reference, and only
-then builds the cell's record and its seconds, which ``results`` writes
-into the results tree.
+it. The parent writes the child one line at a time, each after the last
+one's reply (``_Runner``): ``open``, whose reply is ``ready``, a ``run``
+count for the warmups and one for the measured runs, and ``digest``. The
+child's ``cells.Cell`` performs its setup untimed, times only the kernel
+invocation and answers with the run times and a checksum of the kernel's
+result. The parent admits the cell only if that checksum matches an
+independently computed reference, and only then builds the cell's record
+and its seconds, which ``results`` writes into the results tree.
 
 The references live here, not in the dense oracle module: they must
 scale to the full-size inputs, so they use numpy/scipy, share no code
@@ -453,10 +453,8 @@ class Prepared:
                     op = _Operands(m)
                     cells += [(b, matrix, op) for b in by_matrix]
             for config in configs:
-                try:
+                with suppress(OSError):  # its cells fail when they start it again
                     self.runner(config)
-                except OSError:  # its cells fail when they start it again
-                    pass
             for name, matrix, op in sorted(cells, key=lambda c: c[0] != "DSOLVE"):
                 self.refs[(name, matrix)] = _outcome(_prepare_input, name, op,
                                                      self.input_dir, matrix)
@@ -470,7 +468,7 @@ class Prepared:
 
     def runner(self, config: BenchConfig) -> "_Runner":
         """The configuration's runner; a new one if it has none, or its
-        last one died or still owes a cell's replies."""
+        last one died or is still in a cell."""
         runner = self._runners.get(config.id)
         if runner is None or not runner.idle():
             runner = self._runners[config.id] = _Runner(config)
@@ -529,12 +527,12 @@ def _floats(values) -> bool:
 
 
 class _Runner:
-    """A configuration's runner process (``sparkbench._runner``): ``send``
-    writes a cell's lines, ``reply`` reads its child's answers.
-
-    The runner and its children write their stderr to one anonymous file,
-    so nothing they write there can block them; a failed cell's tail is
-    read from where the file ended when the cell was sent.
+    """A configuration's runner process (``sparkbench._runner``), held a
+    step at a time: ``open`` writes a cell's ``open`` line and ``ready``
+    reads its child's answer; ``run`` and ``digest`` write one line each
+    and return its reply. The runner and its children write their stderr
+    to one anonymous file, so nothing they write there can block them; a
+    failed cell's tail is read from where the file ended at its ``open``.
     """
 
     def __init__(self, config: BenchConfig):
@@ -549,60 +547,58 @@ class _Runner:
             raise
 
     def idle(self) -> bool:
-        """Alive, and owing no replies to a cell ``send`` wrote."""
+        """Alive, and holding no cell that ``open`` began."""
         return self._job is None and self._proc.poll() is None
 
-    def send(self, job: dict, warmup_runs: int, measured_runs: int) -> None:
-        """Write a cell's four lines, ``open`` with ``job``, ``run`` with
-        each count and ``digest``, without waiting for its child. A runner
-        that cannot take them is found dead by ``reply``."""
-        self._job, self._runs = job, (warmup_runs, measured_runs)
-        self._err_start = os.fstat(self._err.fileno()).st_size
-        with suppress(OSError):
-            self._proc.stdin.write(f"open {json.dumps(job)}\nrun {warmup_runs}\n"
-                                   f"run {measured_runs}\ndigest\n")
-            self._proc.stdin.flush()
+    def open(self, job: dict) -> None:
+        """Begin the cell ``job``: write its ``open`` line, not waiting."""
+        self._job, self._err_start = job, os.fstat(self._err.fileno()).st_size
+        self._write(f"open {json.dumps(job)}")
 
-    def reply(self) -> dict:
-        """The payload {runs, checksums} of the cell sent last. Any other
-        reply closes the runner and raises ``HarnessError``: the cell, the
-        configuration, the exit status (the child's {"exit": status}, else
-        the runner's; 0 reads "no payload") and the last line of the
-        cell's stderr, then its tail (at most 500 characters)."""
-        (warmups, measured), job = self._runs, self._job
+    def ready(self) -> None:
+        """Read the child's ``"ready"``: the cell is set up."""
+        self._reply(lambda r: r == "ready")
+
+    def run(self, n: int) -> list:
+        """The seconds of the child's next ``n`` kernel calls."""
+        self._write(f"run {n}")
+        return self._reply(lambda r: isinstance(r, list) and len(r) == n and _floats(r))
+
+    def digest(self) -> dict:
+        """The checksums of the cell's result; the cell is done."""
+        self._write("digest")
+        checksums = self._reply(lambda r: isinstance(r, dict) and _floats(r.values()))
         self._job = None
-        checks = [lambda r: r == "ready",
-                  lambda r: isinstance(r, list) and len(r) == warmups and _floats(r),
-                  lambda r: isinstance(r, list) and len(r) == measured and _floats(r),
-                  lambda r: isinstance(r, dict) and _floats(r.values())]
-        replies = []
-        for check in checks:
-            try:
-                replies.append(json.loads(self._proc.stdout.readline()))
-            except (OSError, ValueError):
-                replies.append(None)
-            if not check(replies[-1]):
-                break
-        else:
-            return {"runs": replies[2], "checksums": replies[3]}
+        return checksums
+
+    def _write(self, line: str) -> None:
+        with suppress(OSError):  # the next reply finds the runner dead
+            print(line, file=self._proc.stdin, flush=True)
+
+    def _reply(self, check):
+        """The next reply, if ``check`` accepts it. Any other closes the
+        runner and raises ``HarnessError``: the cell, the configuration, the
+        exit status (the child's {"exit": status}, else the runner's; 0
+        reads "no payload"), then the last line and tail of its stderr."""
+        try:
+            reply = json.loads(self._proc.stdout.readline())
+        except (OSError, ValueError):
+            reply = None
+        if check(reply):
+            return reply
         status, stderr = self.close()
-        if isinstance(replies[-1], dict):
-            status = replies[-1].get("exit", status)
+        if isinstance(reply, dict):
+            status = reply.get("exit", status)
         tail = stderr.strip()[-500:]
         last = tail.splitlines()[-1] if tail else "no output on stderr"
         status = f"exit status {status}" if status else "no payload"
-        raise HarnessError(f"runner failed for {job['benchmark']}/"
-                           f"{job['matrix']} under {self._config} "
+        raise HarnessError(f"runner failed for {self._job['benchmark']}/"
+                           f"{self._job['matrix']} under {self._config} "
                            f"({status}): {last}\n{tail}")
-
-    def run(self, job: dict, warmup_runs: int, measured_runs: int) -> dict:
-        """``send`` then ``reply``."""
-        self.send(job, warmup_runs, measured_runs)
-        return self.reply()
 
     def close(self) -> tuple:
         """Close the runner's stdin and reap it; returns (exit status, stderr
-        since the last ``send``). Closing again returns the same."""
+        since the last ``open``). Closing again returns the same."""
         if not self._err.closed:
             self._proc.communicate()
             self._err.seek(self._err_start)
@@ -613,17 +609,19 @@ class _Runner:
 
 def run_cell_subprocess(benchmark: str, matrix: str, config: BenchConfig,
                         policy: TimingPolicy, prep: Prepared) -> dict:
-    """Run one cell in a child of the configuration's runner; returns its
-    record.
+    """One cell's record, run in a child of the configuration's runner.
 
     ``prep`` is the ``Prepared`` inputs of the run the cell belongs to:
     it holds the runner, the cell reads its arrays and is gated against
     its reference. The record is ``_admit``'s plus the configuration id.
-    A child or runner that fails raises ``_Runner.reply``'s ``HarnessError``.
+    A child or runner that fails raises ``_Runner``'s ``HarnessError``.
     """
     ref = prep.reference(benchmark, matrix)
-    payload = prep.runner(config).run(prep.job(benchmark, matrix),
-                                      policy.warmup_runs, policy.measured_runs)
+    runner = prep.runner(config)
+    runner.open(prep.job(benchmark, matrix))
+    runner.ready()
+    runner.run(policy.warmup_runs)
+    payload = {"runs": runner.run(policy.measured_runs), "checksums": runner.digest()}
     return {**_admit(benchmark, matrix, policy, payload, ref), "config": config.id}
 
 
@@ -845,14 +843,15 @@ def verify_matrix(data_dir, name: str) -> tuple:
     a full-size input, against the admission checksums (the oracle
     module's dense routines do not scale this far). Every gate runs in a
     runner's child, as a grid's cell does. ``Prepared`` makes the inputs
-    while one ``base`` runner imports. DSOLVE's four lines go to that
+    while one ``base`` runner imports. DSOLVE's ``open`` goes to that
     runner first, so its child builds the storage of a node per factor
-    entry while the other seven kernels go one at a time to a second
-    ``base`` runner, started on first use; DSOLVE is gated last. A child
-    that fails ends its runner, so the next kernel starts another. The
-    detail keeps ``BENCHMARK_ORDER``, one line per failing kernel.
-    Returns (label, ok, detail) where ok is None when the matrix file has
-    not been generated, and False when it is unreadable or stores nan or inf.
+    entry while the other seven kernels are gated one at a time in a
+    second ``base`` runner, started on first use; DSOLVE's ``ready``,
+    ``run`` and ``digest`` come last. A child that fails ends its
+    runner, so the next kernel starts another. The detail keeps
+    ``BENCHMARK_ORDER``, one line per failing kernel. Returns (label,
+    ok, detail) where ok is None when the matrix file has not been
+    generated, and False when it is unreadable or stores nan or inf.
     """
     path = matio.matrix_path(data_dir, name)
     label = f"scale:{name}"
@@ -872,16 +871,17 @@ def verify_matrix(data_dir, name: str) -> tuple:
     with Prepared(benches, {name: m}, [base]) as prep:
         dsolve = prep.runner(base)
         if not isinstance(prep.refs[("DSOLVE", name)], Exception):
-            dsolve.send(prep.job("DSOLVE", name), 0, 1)
+            dsolve.open(prep.job("DSOLVE", name))
         for bname in sorted(benches, key=lambda b: b == "DSOLVE"):
             try:
                 ref = prep.reference(bname, name)
-                if bname == "DSOLVE":
-                    payload = dsolve.reply()
-                else:
-                    # a second runner while ``dsolve`` owes DSOLVE's replies
-                    payload = prep.runner(base).run(prep.job(bname, name), 0, 1)
-                if not _checksums_match(payload["checksums"], ref):
+                # a second runner while ``dsolve`` holds DSOLVE's cell
+                runner = dsolve if bname == "DSOLVE" else prep.runner(base)
+                if bname != "DSOLVE":
+                    runner.open(prep.job(bname, name))
+                runner.ready()
+                runner.run(1)
+                if not _checksums_match(runner.digest(), ref):
                     failed[bname] = f"{bname}: checksum mismatch"
             except Exception as exc:
                 failed[bname] = _failure(bname, exc)

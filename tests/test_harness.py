@@ -888,8 +888,9 @@ def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
             "ok", "failed: HarnessError", "ok"]
         # a cell's stderr is its own child's: one traceback, no stray print
         runner = prep.runner(base)
+        runner.open(prep.job("DSOLVE", "tiny"))
         with pytest.raises(HarnessError, match="exit status 1"):
-            runner.run(prep.job("DSOLVE", "tiny"), 0, 3)
+            runner.ready()
         stderr = runner.close()[1]
         assert (stderr.count("Traceback"), "stray" in stderr) == (1, False)
     # the failure ended the runner, and the next cell started another
@@ -898,6 +899,52 @@ def test_a_dead_child_fails_only_its_cell(tiny_data, tmp_path, started):
     assert err.read_text().startswith(
         "HarnessError: runner failed for DSOLVE/tiny under base (exit status 1): "
         "FileNotFoundError: ")
+
+
+# A runner whose children fail if a line already waits on their stdin as
+# they answer: the parent wrote it before reading their last reply.
+NO_READ_AHEAD = """import select, sparkbench._runner as r
+def answered(step):
+    def answer(*args, **kwargs):
+        out = step(*args, **kwargs)
+        if select.select([0], [], [], 0)[0]:
+            raise AssertionError("a line waited before " + step.__name__ + "'s reply")
+        return out
+    return answer
+for name in ("__init__", "run", "digest"):
+    setattr(r.Cell, name, answered(getattr(r.Cell, name)))
+r.main()
+"""
+
+
+def test_no_line_waits_on_a_childs_stdin_when_it_answers(tiny_data, monkeypatch):
+    strict = BenchConfig("strict", "-c " + shlex.quote(NO_READ_AHEAD))
+    with prepare(["DSOLVE"], ["tiny"], tiny_data, [strict]) as prep:
+        record = harness.run_cell_subprocess("DSOLVE", "tiny", strict, FAST, prep)
+    assert len(record["runs"]) == 3
+    monkeypatch.setattr(harness, "_runner_command",
+                        lambda config: [sys.executable, "-c", NO_READ_AHEAD])
+    assert verify_matrix(tiny_data, "tiny") == ("scale:tiny", True, "8 kernel gates")
+
+
+def test_verify_matrix_opens_dsolve_first_and_gates_it_last(tiny_data, monkeypatch):
+    steps = []
+    for step in ("open", "ready", "run", "digest"):
+        def record(runner, *args, step=step, call=getattr(harness._Runner, step)):
+            job = args[0] if step == "open" else runner._job
+            steps.append((job["benchmark"], step, runner))
+            return call(runner, *args)
+        monkeypatch.setattr(harness._Runner, step, record)
+    assert verify_matrix(tiny_data, "tiny")[1]
+    gates = [b for b in BENCHMARK_ORDER if BENCHMARKS[b].needs_matrix and b != "DSOLVE"]
+    cell = ["open", "ready", "run", "digest"]
+    assert [(b, s) for b, s, _ in steps] == (
+        [("DSOLVE", "open")] + [(b, s) for b in gates for s in cell]
+        + [("DSOLVE", s) for s in cell[1:]])
+    # DSOLVE's child holds one runner while the other gates use a second
+    dsolve = {r for b, _, r in steps if b == "DSOLVE"}
+    others = {r for b, _, r in steps if b != "DSOLVE"}
+    assert len(dsolve) == len(others) == 1 and dsolve != others
 
 
 # A runner whose first child to reach a second ``run`` line kills itself
